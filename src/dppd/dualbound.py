@@ -189,8 +189,29 @@ def assemble_bound(p, sched, x_check, z_check, mu_check=None, counts=(0, 0)):
     )
 
 
+class _CountedRounds:
+    """The Q and matrix() of a schedule, counting the matrix lookups."""
+
+    def __init__(self, sched):
+        self.Q = sched.Q
+        self._matrix = sched.matrix
+        self.lookups = 0
+
+    def matrix(self, k):
+        self.lookups += 1
+        return self._matrix(k)
+
+
 def compute_dual_radius(p, sched, stepsize, K, mu_check=None, max_rounds=1000):
-    """Full three-phase protocol; all agents end with the identical result."""
+    """Full three-phase protocol; all agents end with the identical result.
+
+    certify_blocks counts the certification blocks used: the rounds that
+    certify_negative looked up over the (N-1)*Q rounds of a block (0 for a
+    single agent, which needs no consensus).
+    """
     x_check = find_slater(p, sched, stepsize, K)
-    z_check = certify_negative(p, sched, x_check, max_rounds=max_rounds)
-    return assemble_bound(p, sched, x_check, z_check, mu_check, counts=(K, max_rounds))
+    rounds = _CountedRounds(sched)
+    z_check = certify_negative(p, rounds, x_check, max_rounds=max_rounds)
+    sigma = (p.N - 1) * sched.Q
+    blocks = rounds.lookups // sigma if sigma else 0
+    return assemble_bound(p, sched, x_check, z_check, mu_check, counts=(K, blocks))

@@ -119,8 +119,9 @@ def neglog_prox_root(q, w, v, alpha):
     + (alpha*q - v - alpha*w) = 0; the quadratic is negative at x = -1, so
     exactly one root exceeds -1 (the larger one).
     """
-    B = 1.0 - v + alpha * q
-    C = alpha * q - v - alpha * w
+    aq = alpha * q
+    B = 1.0 - v + aq
+    C = aq - v - alpha * w
     disc = B * B - 4.0 * C
     return 0.5 * (-B + np.sqrt(disc))
 

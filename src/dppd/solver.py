@@ -3,11 +3,20 @@
 Each round mixes primal and dual iterates through the round's doubly
 stochastic matrix, takes a proximal step on the local Lagrangian over the
 shared feasible set, then a projected dual step using the fresh primal
-point.  A vectorized engine handles scalar problems whose agent functions
-all reduce to quadratic-plus-weighted-log composites; everything else runs
-through the generic per-agent prox ladder.
+point.
+
+A scalar problem whose agent functions all reduce to quadratic-plus-
+weighted-log composites on an interval is compiled once per run into a
+plan: the per-agent coefficient columns, their sums over agents, and flags
+for the terms that are identically zero, which are left out at compile
+time.  Each round of the vectorized engine is then only the update's array
+arithmetic, in the paper's order (mix, prox, dual projection), and the
+Lagrangian at the averages is a few scalar flops.  Leaving the zero terms
+out changes no bit of the trajectory.  Everything else runs through the
+generic per-agent prox ladder, `dppd_round`.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +24,13 @@ from scipy import stats
 
 from .functions import Box, NonnegBall, Scaled, Sum, interval_of
 from .graphs import mix
-from .proxops import ProxQuery, flatten_composite, neglog_prox_root, prox_solve
+from .proxops import (
+    ProxQuery,
+    _bisect_scalar,
+    flatten_composite,
+    neglog_prox_root,
+    prox_solve,
+)
 
 __all__ = [
     "StepsizeSchedule",
@@ -62,7 +77,7 @@ class StepsizeSchedule:
         if k <= 0:
             return self.alpha0
         if self.rule == "inv-sqrt":
-            return 1.0 / np.sqrt(k)
+            return 1.0 / math.sqrt(k)
         if self.rule == "inv-pow":
             return float(k) ** (-self.power)
         return self.table[min(k, len(self.table) - 1)]
@@ -154,137 +169,187 @@ def dppd_round(p, A, state, alpha, U0):
         try:
             x_new[i] = prox_solve(ProxQuery(Sum(terms), xhat[i], alpha, p.X0))
         except Exception as exc:
-            raise RuntimeError(f"primal prox failed for agent {i}") from exc
+            raise RuntimeError(
+                f"primal prox failed for agent {i} in round {state.k}"
+            ) from exc
         mu_new[i] = U.project(muhat[i] + alpha * p.g[i].value(x_new[i]))
     return SwarmState(state.k + 1, x_new, mu_new)
 
 
 # ----------------------------------------------------------------------
-# vectorized engine for scalar quadratic/log-composite problems
+# compiled plan for scalar quadratic/log-composite problems
 
 
-def _wlog(w, x):
-    """w * log1p(x) with zero-weight terms forced to zero, so that purely
-    quadratic agents stay valid at x = -1 (where log1p diverges)."""
-    if np.all(w == 0.0):
-        return np.zeros(np.broadcast_shapes(np.shape(w), np.shape(x)))
-    return w * np.log1p(x)
+def _poly(hp, q, w, r, x, lx):
+    """hp*x*x + q*x - w*lx + r summed left to right, with lx = log1p(x).
+
+    A coefficient of None is identically zero and its term is left out.
+    That is exact: the term would be a signed zero, and the constant r,
+    which is kept and is never -0.0, fixes the sign of a zero sum.
+    """
+    s = None
+    if hp is not None:
+        s = hp * x * x
+    if q is not None:
+        s = q * x if s is None else s + q * x
+    if w is not None:
+        s = -(w * lx) if s is None else s - w * lx
+    return r if s is None else s + r
 
 
 @dataclass(frozen=True)
-class _ScalarStructure:
-    # per-agent coefficients of f_i = pf*x^2/2 + qf*x - wf*log(1+x) + rf,
-    # and of each constraint component g_il likewise
-    pf: np.ndarray  # (N,)
-    qf: np.ndarray
-    wf: np.ndarray
-    rf: np.ndarray
-    pg: np.ndarray  # (N, m)
-    qg: np.ndarray
-    wg: np.ndarray
-    rg: np.ndarray
+class _Plan:
+    """A scalar problem compiled once per run for the vectorized round.
+
+    Agent i has f_i(x) = pf*x^2/2 + qf*x - wf*log(1+x) + rf, and each
+    constraint component g_il the same form with the g columns.  Columns
+    are (N,) for f, and for g when m == 1 (the duals are then an (N,)
+    vector as well); (N, m) otherwise.  A g column that is identically zero
+    is None, and its term is left out of every round.  f_total and g_total
+    hold (P/2, Q, W, R) summed over agents for the Lagrangian at the
+    averages, with W None when it is zero.
+    """
+
+    m: int
     lo: float
     hi: float
+    pf: np.ndarray
+    qf: np.ndarray
+    wf: np.ndarray
+    pg: np.ndarray | None
+    qg: np.ndarray | None
+    wg: np.ndarray | None
+    hpg: np.ndarray | None  # pg/2
+    rg: np.ndarray
+    f_total: tuple
+    g_total: tuple
+    p_zero: bool  # pf and pg identically zero: no curvature in any prox
+    w_zero: bool  # wf and wg identically zero: every prox is quadratic
 
-    def g_values(self, x):
-        """g_il(x_i) for per-agent scalars x (N,) -> (N, m)."""
-        xx = x[:, None]
-        return (
-            0.5 * self.pg * xx * xx + self.qg * xx - _wlog(self.wg, xx) + self.rg
-        )
+    def _with_duals(self, base, col, muhat):
+        """Per-agent base + sum_l muhat_l * col_l."""
+        if col is None:
+            return base
+        t = muhat * col
+        return base + (t if self.m == 1 else t.sum(axis=1))
 
-    def f_total(self, x):
-        return float(
-            0.5 * self.pf.sum() * x * x
-            + self.qf.sum() * x
-            - _wlog(self.wf.sum(), x)
-            + self.rf.sum()
-        )
+    def step(self, A, x, mu, alpha, U0):
+        """Same update as dppd_round, as array operations over agents:
+        mix, then the primal prox, then the projected dual step."""
+        xhat = A @ x
+        muhat = A @ mu
+        q = self._with_duals(self.qf, self.qg, muhat)
+        p = None if self.p_zero else self._with_duals(self.pf, self.pg, muhat)
+        if self.w_zero:
+            x_new = _quad_prox(xhat, p, q, alpha)
+        else:
+            w = self._with_duals(self.wf, self.wg, muhat)
+            quad = w == 0.0
+            logm = ~quad if p is None else ~quad & (p == 0.0)
+            if logm.all():
+                x_new = neglog_prox_root(q, w, xhat, alpha)
+            else:
+                # the quadratic step for every agent, then the others replaced
+                x_new = _quad_prox(xhat, p, q, alpha)
+                if logm.any():
+                    x_new[logm] = neglog_prox_root(q[logm], w[logm], xhat[logm], alpha)
+            if p is not None:
+                hard = ~quad & (p != 0.0)
+                for i in np.flatnonzero(hard).tolist():
+                    # mixed quadratic+log: bisection on the increasing derivative
+                    pi, qi, wi, vi = float(p[i]), float(q[i]), float(w[i]), float(xhat[i])
+                    x_new[i] = _bisect_scalar(
+                        lambda t: pi * t + qi - wi / (1.0 + t) + (t - vi) / alpha,
+                        self.lo,
+                        self.hi,
+                        1e-12,
+                    )
+        x_new.clip(self.lo, self.hi, out=x_new)
+        xx = x_new if self.m == 1 else x_new[:, None]
+        lx = None if self.wg is None else np.log1p(xx)
+        gv = _poly(self.hpg, self.qg, self.wg, self.rg, xx, lx)
+        mu_new = np.maximum(muhat + alpha * gv, 0.0)
+        # a one-component dual is nonnegative, so it is its own norm
+        nrm = mu_new if self.m == 1 else np.linalg.norm(mu_new, axis=1)
+        over = nrm > U0
+        if over.any():
+            scale = U0 / nrm[over]
+            mu_new[over] *= scale if self.m == 1 else scale[:, None]
+        return x_new, mu_new
 
-    def g_total(self, x):
-        return (
-            0.5 * self.pg.sum(axis=0) * x * x
-            + self.qg.sum(axis=0) * x
-            - _wlog(self.wg.sum(axis=0), x)
-            + self.rg.sum(axis=0)
-        )
+    def at_averages(self, x, mu):
+        """(Lagrangian, summed constraint) at the agent averages x, mu."""
+        lx = None
+        if self.f_total[2] is not None or self.g_total[2] is not None:
+            lx = np.log1p(x)
+        g_tot = _poly(*self.g_total, x, lx)
+        # the same bits as a one-term dot, which adds the product to +0.0
+        dual = mu * g_tot + 0.0 if self.m == 1 else float(mu @ g_tot)
+        return float(_poly(*self.f_total, x, lx)) + dual, g_tot
 
-    def lagrangian(self, x, mu):
-        return self.f_total(x) + float(mu @ self.g_total(x))
+
+def _quad_prox(xhat, p, q, alpha):
+    """Minimizer of p*x^2/2 + q*x + (x - xhat)^2/(2*alpha); p None is zero."""
+    if p is None:
+        return xhat - alpha * q
+    return (xhat - alpha * q) / (1.0 + alpha * p)
 
 
-def extract_scalar_structure(p):
-    """Coefficient arrays for the vectorized engine, or None if any agent
-    function falls outside the quadratic/log registry or the set is not an
-    interval."""
+def compile_plan(p):
+    """The vectorized engine's plan for p, or None if p is not scalar, its
+    set is not an interval, or some agent function falls outside the
+    quadratic/log registry."""
     iv = interval_of(p.X0)
     if p.n != 1 or iv is None:
         return None
-    N, m = p.N, p.m
-    pf = np.zeros(N)
-    qf = np.zeros(N)
-    wf = np.zeros(N)
-    rf = np.zeros(N)
-    pg = np.zeros((N, m))
-    qg = np.zeros((N, m))
-    wg = np.zeros((N, m))
-    rg = np.zeros((N, m))
-    for i in range(N):
-        flat = flatten_composite(p.f[i])
-        if flat is None:
+    m = p.m
+    rows = []
+    for fi, gi in zip(p.f, p.g):
+        flats = [flatten_composite(fn) for fn in (fi, *gi.components)]
+        if any(flat is None for flat in flats):
             return None
-        pf[i], qf[i], rf[i], wf[i] = flat[0][0, 0], flat[1][0], flat[2], flat[3]
-        for l, comp in enumerate(p.g[i].components):
-            flat = flatten_composite(comp)
-            if flat is None:
-                return None
-            pg[i, l], qg[i, l], rg[i, l], wg[i, l] = (
-                flat[0][0, 0],
-                flat[1][0],
-                flat[2],
-                flat[3],
-            )
+        rows.append([(P[0, 0], q[0], r, w) for P, q, r, w in flats])
+    c = np.array(rows)  # (N, 1 + m, 4): P, q, r, w of f_i, then of each g_il
+    pf, qf, rf, wf = np.ascontiguousarray(c[:, 0].T)
+    pg, qg, rg, wg = np.ascontiguousarray(c[:, 1:].transpose(2, 0, 1))
     if iv[0] <= -1.0 and (np.any(wf != 0) or np.any(wg != 0)):
         return None
-    return _ScalarStructure(pf, qf, wf, rf, pg, qg, wg, rg, iv[0], iv[1])
 
+    W = float(wf.sum())
+    f_total = (
+        0.5 * float(pf.sum()),
+        float(qf.sum()),
+        W if W != 0.0 else None,
+        float(rf.sum()),
+    )
+    Pg, Qg, Wg, Rg = (a.sum(axis=0) for a in (pg, qg, wg, rg))
+    if m == 1:
+        Pg, Qg, Wg, Rg = (float(a[0]) for a in (Pg, Qg, Wg, Rg))
+    g_total = (0.5 * Pg, Qg, None if np.all(Wg == 0.0) else Wg, Rg)
 
-def _vectorized_round(st, A, x, mu, alpha, U0):
-    """Same update as dppd_round, expressed as array operations over agents."""
-    xhat = A @ x
-    muhat = A @ mu
-    p = st.pf + (muhat * st.pg).sum(axis=1)
-    q = st.qf + (muhat * st.qg).sum(axis=1)
-    w = st.wf + (muhat * st.wg).sum(axis=1)
-    x_new = np.empty_like(x)
-    quad = w == 0.0
-    if np.any(quad):
-        x_new[quad] = (xhat[quad] - alpha * q[quad]) / (1.0 + alpha * p[quad])
-    logm = (~quad) & (p == 0.0)
-    if np.any(logm):
-        x_new[logm] = neglog_prox_root(q[logm], w[logm], xhat[logm], alpha)
-    hard = (~quad) & (p != 0.0)
-    for i in np.nonzero(hard)[0]:
-        # mixed quadratic+log: scalar bisection on the monotone derivative
-        from .proxops import _bisect_scalar
+    def column(a):
+        if not np.any(a):
+            return None
+        return a[:, 0].copy() if m == 1 else a
 
-        def h(xv, i=i):
-            return (
-                p[i] * xv
-                + q[i]
-                - w[i] / (1.0 + xv)
-                + (xv - xhat[i]) / alpha
-            )
-
-        x_new[i] = _bisect_scalar(h, st.lo, st.hi, 1e-12)
-    np.clip(x_new, st.lo, st.hi, out=x_new)
-    gv = st.g_values(x_new)
-    mu_new = np.maximum(muhat + alpha * gv, 0.0)
-    nrm = np.linalg.norm(mu_new, axis=1)
-    over = nrm > U0
-    if np.any(over):
-        mu_new[over] *= (U0 / nrm[over])[:, None]
-    return x_new, mu_new
+    pg, qg, wg = column(pg), column(qg), column(wg)
+    return _Plan(
+        m=m,
+        lo=iv[0],
+        hi=iv[1],
+        pf=pf,
+        qf=qf,
+        wf=wf,
+        pg=pg,
+        qg=qg,
+        wg=wg,
+        hpg=None if pg is None else 0.5 * pg,
+        rg=rg[:, 0].copy() if m == 1 else rg,
+        f_total=f_total,
+        g_total=g_total,
+        p_zero=not np.any(pf) and pg is None,
+        w_zero=not np.any(wf) and wg is None,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -337,41 +402,59 @@ class _TraceBuilder:
         )
 
 
+def _check_finite(k, lag, x, mu):
+    """Raise on a non-finite Lagrangian at the averages after round k.
+
+    Any NaN in an iterate reaches that scalar, so the agents are searched
+    only once it is not finite.
+    """
+    if math.isfinite(lag):
+        return
+    N = x.shape[0]
+    finite = np.isfinite(np.hstack([x.reshape(N, -1), mu.reshape(N, -1)]))
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        raise FloatingPointError(f"non-finite iterate at agent {bad[0]} in round {k}")
+    raise FloatingPointError(f"non-finite Lagrangian at the averages in round {k}")
+
+
 def run(p, sched, cfg):
     """Execute cfg.K rounds of the primal-dual update and record a trace.
 
-    Deterministic for a fixed problem, schedule, and config.
+    Deterministic for a fixed problem, schedule, and config.  Raises
+    FloatingPointError, naming the round and the first agent, as soon as an
+    iterate is not finite.
     """
     if sched.N != p.N:
         raise ValueError("schedule size does not match agent count")
     state = initial_state(p, cfg.U0, cfg.init)
-    st = extract_scalar_structure(p)
+    plan = compile_plan(p)
     tb = _TraceBuilder(p.n, cfg.stride, cfg.f_star)
-    x, mu = state.x.copy(), state.mu.copy()
-    if st is not None:
-        xs = x[:, 0].copy()
+    if plan is not None:
+        N = p.N
+        x = state.x[:, 0].copy()
+        mu = state.mu[:, 0].copy() if plan.m == 1 else state.mu.copy()
         for k in range(cfg.K):
-            A = sched.matrix(k)
             alpha = cfg.stepsize.alpha(k)
-            xs, mu = _vectorized_round(st, A, xs, mu, alpha, cfg.U0)
+            x, mu = plan.step(sched.matrix(k), x, mu, alpha, cfg.U0)
+            lag, g_tot = plan.at_averages(float(x.sum() / N), mu.sum(axis=0) / N)
+            _check_finite(k, lag, x, mu)
             if k >= 1:
-                xbar = float(xs.mean())
-                mubar = mu.mean(axis=0)
-                lag = st.lagrangian(xbar, mubar)
                 record = (k % cfg.stride == 0) or (k == cfg.K - 1)
-                tb.observe(k, alpha, xs[:, None], mu, lag, st.g_total(xbar), record)
-        final = SwarmState(cfg.K, xs[:, None].copy(), mu.copy())
+                tb.observe(k, alpha, x[:, None], mu.reshape(N, -1), lag, g_tot, record)
+        final = SwarmState(cfg.K, x[:, None].copy(), mu.reshape(N, -1).copy())
     else:
         cur = state
         for k in range(cfg.K):
             A = sched.matrix(k)
             alpha = cfg.stepsize.alpha(k)
             cur = dppd_round(p, A, cur, alpha, cfg.U0)
+            xbar = cur.x.mean(axis=0)
+            mubar = cur.mu.mean(axis=0)
+            g_tot = p.constraint(xbar)
+            lag = p.objective(xbar) + float(mubar @ g_tot)
+            _check_finite(k, lag, cur.x, cur.mu)
             if k >= 1:
-                xbar = cur.x.mean(axis=0)
-                mubar = cur.mu.mean(axis=0)
-                g_tot = p.constraint(xbar)
-                lag = p.objective(xbar) + float(mubar @ g_tot)
                 record = (k % cfg.stride == 0) or (k == cfg.K - 1)
                 tb.observe(k, alpha, cur.x, cur.mu, lag, g_tot, record)
         final = cur

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import dppd
+
+# derandomized: property tests draw the same examples on every run; no
+# deadline: example timings on a loaded machine are not a failure
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

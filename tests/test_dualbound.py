@@ -215,6 +215,26 @@ def test_dual_radius_dominates_optimal_multiplier_benchmark(
     assert res.U0 >= float(paper_reference.mu_star[0])
 
 
+def test_dual_radius_reports_certification_blocks_used():
+    # b = 2 leaves the low-d agents with positive local values at x_check, so
+    # certification needs more than one block of (N-1)*Q rounds.  Independent
+    # count: a block certifies when the exact max of the averaged values at
+    # its start is negative (max-consensus is exact within one block).
+    N, Q = 10, 2
+    p = dppd.build_paper_example(N=N, b=2.0)
+    s = make_schedule(N=N, Q=Q, a=0.1, seed=0, family="chorded")
+    res = compute_dual_radius(p, s, StepsizeSchedule(), K=400)
+    z = np.stack([gi.value(res.x_check) for gi in p.g])
+    blocks, k = 1, 0
+    while not np.all(z.max(axis=0) < 0):
+        for _ in range((N - 1) * Q):
+            z = s.matrix(k) @ z
+            k += 1
+        blocks += 1
+    assert blocks > 1
+    assert res.certify_blocks == blocks
+
+
 def test_dual_radius_dominates_optimal_multiplier_random():
     for seed in range(6):
         p = random_small_instance(seed)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dppd
 from dppd import (
@@ -25,7 +27,7 @@ from dppd import (
 )
 from dppd.functions import constant
 from dppd.proxops import ProxQuery
-from dppd.solver import SwarmState, extract_scalar_structure, initial_state
+from dppd.solver import SwarmState, compile_plan, initial_state
 
 
 # ----------------------------------------------------------------- stepsizes
@@ -177,22 +179,116 @@ def test_round_rejects_nonpositive_stepsize(paper_problem):
 def test_vectorized_engine_matches_generic_rounds(paper_problem):
     # the array engine and the per-agent prox ladder must agree step by step
     p = paper_problem
-    st = extract_scalar_structure(p)
-    assert st is not None
+    plan = compile_plan(p)
+    assert plan is not None
     s = make_schedule(N=100, Q=2, a=0.1, seed=1, family="chorded")
-    from dppd.solver import _vectorized_round
 
     state = initial_state(p, 10.0)
-    x, mu = state.x[:, 0].copy(), state.mu.copy()
+    x, mu = state.x[:, 0].copy(), state.mu[:, 0].copy()  # m = 1: duals as (N,)
     cur = state
     ss = StepsizeSchedule()
     for k in range(25):
         A = s.matrix(k)
         alpha = ss.alpha(k)
-        x, mu = _vectorized_round(st, A, x, mu, alpha, 10.0)
+        x, mu = plan.step(A, x, mu, alpha, 10.0)
         cur = dppd_round(p, A, cur, alpha, 10.0)
         assert cur.x[:, 0] == pytest.approx(x, abs=1e-9)
-        assert cur.mu == pytest.approx(mu, abs=1e-9)
+        assert cur.mu[:, 0] == pytest.approx(mu, abs=1e-9)
+
+
+# Registry compositions for n = 1.  Each mode fixes which prox branch every
+# agent takes: "quadratic" has no log term (w == 0), "log" no quadratic term
+# (p == 0, w > 0), "mixed" a quadratic and a log term in every f_i (p != 0,
+# w > 0, bisection), "dual-log" logs only in the constraints, so the first
+# round, with zero duals, is quadratic and later ones are not; "any" mixes
+# all families freely.
+_coef = st.floats(-1.5, 1.5)
+_weight = st.floats(0.1, 1.5)
+
+
+def _leaf(quadratic, log):
+    leaves = [st.builds(lambda c, r: Affine(np.array([c]), r), _coef, _coef)]
+    if quadratic:
+        leaves.append(
+            st.builds(
+                lambda P, q, r: Quadratic(np.array([[P]]), np.array([q]), r),
+                _weight,
+                _coef,
+                _coef,
+            )
+        )
+    if log:
+        leaves.append(st.builds(NegLog, _weight, _coef))
+    return st.one_of(leaves)
+
+
+def _composite(quadratic, log):
+    return st.recursive(
+        _leaf(quadratic, log),
+        lambda inner: st.one_of(
+            st.builds(Scaled, inner, st.floats(0.0, 1.5)),
+            st.builds(lambda ts: Sum(tuple(ts)), st.lists(inner, min_size=1, max_size=3)),
+        ),
+        max_leaves=4,
+    )
+
+
+_MODES = {  # mode -> (f families, forced f terms, g families, forced g term)
+    "quadratic": ((True, False), (), (True, False), None),
+    "log": ((False, True), ("log",), (False, True), None),
+    "mixed": ((True, True), ("quadratic", "log"), (True, True), None),
+    "dual-log": ((True, False), (), (False, False), "log"),
+    "any": ((True, True), (), (True, True), None),
+}
+
+
+@st.composite
+def _scalar_problems(draw, mode):
+    f_fam, f_forced, g_fam, g_forced = _MODES[mode]
+    N = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([1, 2]))
+    lo = draw(st.floats(-0.5, 0.5))
+    hi = lo + draw(st.floats(0.25, 2.0))
+    forced = {
+        "quadratic": st.builds(
+            lambda P: Quadratic(np.array([[P]]), np.zeros(1)), _weight
+        ),
+        "log": st.builds(NegLog, _weight),
+    }
+    f, g = [], []
+    for _ in range(N):
+        terms = [draw(_composite(*f_fam))] + [draw(forced[t]) for t in f_forced]
+        f.append(terms[0] if len(terms) == 1 else Sum(tuple(terms)))
+        comps = []
+        for _ in range(m):
+            comp = draw(_composite(*g_fam))
+            if g_forced:
+                comp = Sum((comp, draw(forced[g_forced])))
+            comps.append(comp)
+        g.append(VectorConstraint(tuple(comps)))
+    return Problem(f=tuple(f), g=tuple(g), X0=Box(np.array([lo]), np.array([hi])))
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_compiled_engine_matches_generic_rounds_property(mode, data):
+    p = data.draw(_scalar_problems(mode), label="problem")
+    U0 = data.draw(st.floats(0.2, 3.0), label="U0")
+    ss = StepsizeSchedule(alpha0=data.draw(st.floats(0.1, 3.0), label="alpha0"))
+    plan = compile_plan(p)
+    assert plan is not None
+    s = make_schedule(N=p.N, Q=1, a=0.3, seed=0, family="ring")
+    cur = initial_state(p, U0)
+    x = cur.x[:, 0].copy()
+    mu = cur.mu[:, 0].copy() if p.m == 1 else cur.mu.copy()
+    for k in range(6):
+        A = s.matrix(k)
+        alpha = ss.alpha(k)
+        x, mu = plan.step(A, x, mu, alpha, U0)
+        cur = dppd_round(p, A, cur, alpha, U0)
+        assert cur.x[:, 0] == pytest.approx(x, abs=1e-9)
+        assert cur.mu == pytest.approx(mu.reshape(cur.mu.shape), abs=1e-9)
 
 
 def test_quadratic_unconstrained_run_converges():
@@ -281,6 +377,32 @@ def test_per_step_displacement_bounds(paper_problem):
         assert dx <= alpha * bounds.S * (1.0 + U0) + 1e-9
         assert dmu <= alpha * bounds.E + 1e-9
         cur = nxt
+
+
+@pytest.mark.parametrize(
+    "engine, error",
+    [("compiled", FloatingPointError), ("generic", RuntimeError)],
+)
+def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
+    # a NaN weight in agent 2's row reaches its iterates in round 0; the box
+    # keeps x away from 0 so the NaN is not multiplied by an exact zero.  The
+    # compiled engine catches it at the averages; the generic prox rejects
+    # the NaN anchor first.
+    N = 4
+    A = np.full((N, N), 1.0 / N)
+    A[2, 1] = np.nan
+    sched = dppd.GraphSchedule.from_cycle([A])
+    if engine == "compiled":
+        p = dppd.build_paper_example(N=N, b=0.2, lo=0.25, hi=1.0)
+    else:
+        p = Problem(
+            f=tuple(Quadratic(np.eye(2), np.ones(2)) for _ in range(N)),
+            g=tuple(VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N)),
+            X0=Box(np.full(2, 0.25), np.ones(2)),
+        )
+    assert (compile_plan(p) is None) == (engine == "generic")
+    with pytest.raises(error, match="agent 2 in round 0"):
+        run(p, sched, DppdConfig(K=5, U0=1.0))
 
 
 # --------------------------------------------------------- error + rate fit
