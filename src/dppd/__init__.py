@@ -12,7 +12,6 @@ from .dualbound import (
     DualBoundResult,
     SlaterError,
     assemble_bound,
-    average_consensus_step,
     certify_negative,
     compute_dual_radius,
     find_slater,
@@ -26,25 +25,15 @@ from .functions import (
     NegLog,
     NonnegBall,
     Problem,
-    ProblemBounds,
     Quadratic,
     Scaled,
     Sum,
     VectorConstraint,
     constant,
-    estimate_bounds,
-    local_lagrangian,
 )
 from .graphs import GraphSchedule, make_schedule, mix, validate_schedule
 from .oracle import ReferenceSolution, brute_force_saddle, solve_example_family
-from .proxops import (
-    ProxError,
-    ProxQuery,
-    dual_prox_solve,
-    prox_log_barrier,
-    prox_quadratic,
-    prox_solve,
-)
+from .proxops import ProxError, ProxQuery, prox_quadratic, prox_solve
 from .scenarios import (
     ConfigError,
     Scenario,

@@ -21,6 +21,8 @@ __all__ = ["BaselineTrace", "csp_sg_round", "run_csp_sg"]
 
 @dataclass
 class BaselineTrace:
+    err_column = "ergodic_eval_err"  # the error column write_trace names
+
     k: np.ndarray
     alpha: np.ndarray
     xbar: np.ndarray
@@ -54,7 +56,7 @@ def run_csp_sg(p, sched, cfg):
     """Run the comparator and trace the ergodic evaluation metric."""
     if sched.N != p.N:
         raise ValueError("schedule size does not match agent count")
-    state = initial_state(p, cfg.U0, cfg.init)
+    state = initial_state(p, cfg.U0)
     x_sum = np.zeros_like(state.x)
     mu_sum = np.zeros_like(state.mu)
     rows = []

@@ -10,8 +10,7 @@ report, not fatal), 1 runtime solver error, 2 config parse error.
 import argparse
 import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from .baseline import run_csp_sg
 from .dualbound import compute_dual_radius, find_slater
@@ -36,34 +35,32 @@ def _fmt(v):
 
 
 def _resolve_u0(scen):
-    if getattr(scen, "u0_source", "fixed") == "dualbound":
-        result = compute_dual_radius(
-            scen.problem, scen.schedule, scen.config.stepsize, K=scen.config.K
-        )
-        from dataclasses import replace
-
-        scen.config = replace(scen.config, U0=result.U0)
-    return scen
+    """The scenario's solver config, with U0 from the dual-radius protocol
+    when the scenario asks for it."""
+    if scen.u0_source != "dualbound":
+        return scen.config
+    result = compute_dual_radius(
+        scen.problem, scen.schedule, scen.config.stepsize, K=scen.config.K
+    )
+    return replace(scen.config, U0=result.U0)
 
 
 def cmd_run(args):
     scen = load_scenario(args.config)
-    scen = _resolve_u0(scen)
     lines = [f"scenario: {scen.name}", f"solver: {scen.solver}"]
     if scen.solver == "dppd":
-        trace = run(scen.problem, scen.schedule, scen.config)
+        cfg = _resolve_u0(scen)
+        trace = run(scen.problem, scen.schedule, cfg)
         path = _out_path(scen.trace_path)
         write_trace(trace, path)
         lines.append(f"trace: {path}")
         lines.append(f"final_cons_x: {_fmt(trace.cons_x[-1])}")
         lines.append(f"final_cons_mu: {_fmt(trace.cons_mu[-1])}")
-        if scen.f_star is not None:
-            lines.append(f"f_star: {_fmt(scen.f_star)}")
+        if cfg.f_star is not None:
+            lines.append(f"f_star: {_fmt(cfg.f_star)}")
             lines.append(f"final_run_eval_err: {_fmt(trace.run_eval_err[-1])}")
             try:
-                slope, r2 = rate_fit(
-                    trace.k, trace.run_eval_err, 100, scen.config.K
-                )
+                slope, r2 = rate_fit(trace.k, trace.run_eval_err, 100, cfg.K)
                 lines.append(f"rate_slope: {_fmt(slope)}")
                 lines.append(f"rate_r2: {_fmt(r2)}")
             except ValueError:
@@ -72,11 +69,12 @@ def cmd_run(args):
         lines.append(f"final_constr_viol: {_fmt(viol)}")
         lines.append(f"flags: {'ok' if trace.cons_x[-1] < 1.0 else 'consensus-weak'}")
     elif scen.solver == "csp_sg":
-        trace = run_csp_sg(scen.problem, scen.schedule, scen.config)
+        cfg = _resolve_u0(scen)
+        trace = run_csp_sg(scen.problem, scen.schedule, cfg)
         path = _out_path(scen.trace_path)
-        write_trace(trace, path, err_name="ergodic_eval_err")
+        write_trace(trace, path)
         lines.append(f"trace: {path}")
-        if scen.f_star is not None:
+        if cfg.f_star is not None:
             lines.append(f"final_ergodic_eval_err: {_fmt(trace.ergodic_eval_err[-1])}")
     elif scen.solver == "slater":
         x_check = find_slater(

@@ -4,7 +4,8 @@ Three phases, all barrier-synchronized on the same graph schedule:
   1. find a strictly feasible point by distributed proximal minimization of
      the summed constraints,
   2. certify strict negativity of the constraint sum through interleaved
-     average-consensus and finite-time max-consensus sweeps,
+     average-consensus steps (the plain mix z <- A z, which keeps the agent
+     sum) and finite-time max-consensus sweeps,
   3. agree on max_i f_i and min_i q_i by further max-consensus sweeps and
      assemble the radius N*(f_max - q_min)/gamma_lower.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "SlaterError",
     "DualBoundResult",
     "find_slater",
-    "average_consensus_step",
     "max_consensus_round",
     "certify_negative",
     "assemble_bound",
@@ -64,15 +64,6 @@ def find_slater(p, sched, stepsize, K):
             "constraint sum not strictly negative after the configured rounds"
         )
     return x_check
-
-
-def average_consensus_step(A, z):
-    """One linear consensus step z <- A z; preserves the agent sum."""
-    A = np.asarray(A, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] != A.shape[0]:
-        raise ValueError("state count must equal the number of agents")
-    return A @ z
 
 
 def _max_step(A, s):

@@ -7,7 +7,7 @@ minimization.  All objects are immutable after construction and safe to
 evaluate concurrently.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,6 @@ __all__ = [
     "NonnegBall",
     "interval_of",
     "Problem",
-    "ProblemBounds",
-    "local_lagrangian",
-    "estimate_bounds",
 ]
 
 
@@ -356,54 +353,3 @@ class Problem:
     def lagrangian(self, x, mu):
         mu = _as_point(mu)
         return self.objective(x) + float(mu @ self.constraint(x))
-
-
-@dataclass(frozen=True)
-class ProblemBounds:
-    """Empirical constants: D >= sup||x||, E >= sup|f_i|,||g_i||, S >= sup subgradient norms.
-
-    Diagnostics only; the solver never gates on them.
-    """
-
-    D: float
-    E: float
-    S: float
-
-
-def local_lagrangian(fi, gi, x, mu):
-    """f_i(x) + mu.g_i(x) for a componentwise-nonnegative multiplier."""
-    mu = _as_point(mu)
-    if np.any(mu < 0):
-        raise ValueError("dual variable must be componentwise nonnegative")
-    return fi.value(x) + float(mu @ gi.value(x))
-
-
-def _sample_set(s, samples, rng):
-    n = s.dim
-    pts = []
-    if isinstance(s, Box):
-        if n <= 12:
-            grid = np.meshgrid(*[(lo, hi) for lo, hi in zip(s.lo, s.hi)], indexing="ij")
-            pts.extend(np.stack(grid, axis=-1).reshape(-1, n))
-        pts.extend(s.lo + (s.hi - s.lo) * rng.random((samples, n)))
-    else:
-        # rejection-free: project ambient samples onto the set
-        raw = rng.normal(size=(samples, n)) * (getattr(s, "radius", 1.0) + 1.0)
-        pts.extend(s.project(z) for z in raw)
-    return [np.asarray(p, dtype=float) for p in pts]
-
-
-def estimate_bounds(p, samples=200, seed=0, inflate=1.1):
-    """Sample-based estimates of the compactness constants, inflated by 10%."""
-    rng = np.random.default_rng(seed)
-    pts = _sample_set(p.X0, samples, rng)
-    D = max(np.linalg.norm(x) for x in pts)
-    E = 0.0
-    S = 0.0
-    for x in pts:
-        for fi, gi in zip(p.f, p.g):
-            E = max(E, abs(fi.value(x)), float(np.linalg.norm(gi.value(x))))
-            S = max(S, float(np.linalg.norm(fi.grad(x))))
-            for comp in gi.components:
-                S = max(S, float(np.linalg.norm(comp.grad(x))))
-    return ProblemBounds(D=D * inflate, E=E * inflate, S=S * inflate)

@@ -21,7 +21,7 @@ __all__ = [
     "is_strongly_connected",
 ]
 
-FAMILIES = ("ring", "round-robin", "chorded", "birkhoff", "complete", "identity")
+FAMILIES = ("ring", "round-robin", "chorded", "birkhoff", "complete")
 
 
 def is_strongly_connected(adjacency):
@@ -148,8 +148,6 @@ def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
       birkhoff    convex combination of I, the cyclic permutation, and a
                   fresh random permutation each round (connected every round)
       complete    uniform averaging matrix 1/N (requires a <= 1/N)
-      identity    I every round (never jointly connected for N > 1; useful
-                  only for exercising validation failures)
     """
     if N < 1 or Q < 1:
         raise ValueError("N and Q must be positive")
@@ -165,10 +163,6 @@ def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
     if N == 1:
         one = np.ones((1, 1))
         return GraphSchedule(N, Q, a, seed, family, _matrix_fn=lambda k: one)
-
-    if family == "identity":
-        eye = np.eye(N)
-        return GraphSchedule(N, Q, a, seed, family, _matrix_fn=lambda k: eye)
 
     if family == "complete":
         A = np.full((N, N), 1.0 / N)

@@ -1,34 +1,24 @@
-"""Proximal subproblem solvers for the per-agent primal and dual updates.
+"""Proximal subproblem solvers for the per-agent primal update.
 
-Strategy ladder for the primal prox: closed form for quadratic composites
-and for scalar affine-plus-weighted-log composites, derivative bisection for
-other scalar convex objectives (the penalty makes the derivative strictly
-increasing), and an explicit error for unsupported shapes.
+Strategy ladder: closed form for quadratic composites and for scalar
+affine-plus-weighted-log composites, derivative bisection for other scalar
+convex objectives (the penalty makes the derivative strictly increasing),
+and an explicit error for unsupported shapes.  The dual update needs no
+solver: it is the projection of the ascent point onto the dual set, which
+the round takes with ``NonnegBall.project``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (
-    Affine,
-    Ball,
-    Box,
-    NegLog,
-    NonnegBall,
-    Quadratic,
-    Scaled,
-    Sum,
-    interval_of,
-)
+from .functions import Affine, Box, NegLog, Quadratic, Scaled, Sum, interval_of
 
 __all__ = [
     "ProxError",
     "ProxQuery",
     "prox_quadratic",
-    "prox_log_barrier",
     "prox_solve",
-    "dual_prox_solve",
     "flatten_composite",
 ]
 
@@ -66,16 +56,6 @@ def prox_quadratic(P, q, v, alpha):
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n = v.shape[0]
     return np.linalg.solve(np.eye(n) + alpha * P, v - alpha * q)
-
-
-def prox_log_barrier(v, alpha=1.0):
-    """Componentwise prox of -sum_i log(x_i) with stepsize alpha.
-
-    Stationarity -alpha/x + x - v = 0 gives x = (v + sqrt(v^2 + 4*alpha))/2,
-    always in the positive orthant.
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return 0.5 * (v + np.sqrt(v * v + 4.0 * alpha))
 
 
 def flatten_composite(f):
@@ -199,15 +179,3 @@ def prox_solve(qy, tol=1e-10):
 
     raise ProxError("non-scalar problem with no closed form")
 
-
-def dual_prox_solve(gi_val, mu_hat, alpha, U):
-    """Projected dual ascent step: P_U(mu_hat + alpha * g_i(x_new)).
-
-    Equivalent to the proximal argmax of the local Lagrangian in the dual
-    variable with the same quadratic penalty.
-    """
-    if alpha <= 0:
-        raise ValueError("stepsize must be positive")
-    gi_val = np.atleast_1d(np.asarray(gi_val, dtype=float))
-    mu_hat = np.atleast_1d(np.asarray(mu_hat, dtype=float))
-    return U.project(mu_hat + alpha * gi_val)

@@ -75,9 +75,9 @@ class Scenario:
     solver: str  # dppd | csp_sg | slater | dualbound
     problem: Problem
     schedule: object
-    config: DppdConfig
+    config: DppdConfig  # U0 is a placeholder when u0_source is "dualbound"
     trace_path: str
-    f_star: float = None
+    u0_source: str = "fixed"  # fixed | dualbound (resolved at run time)
 
 
 def _get(cp, section, key, cast, default=None, required=False):
@@ -165,17 +165,14 @@ def load_scenario(path):
         U0=u0 if u0 is not None else 1.0,  # placeholder when source=dualbound
         stepsize=stepsize,
         stride=stride,
-        seed=seed,
         f_star=f_star,
     )
-    scen = Scenario(
+    return Scenario(
         name=name,
         solver=solver,
         problem=problem,
         schedule=schedule,
         config=cfg,
         trace_path=trace_path,
-        f_star=f_star,
+        u0_source=u0_source,
     )
-    scen.u0_source = u0_source
-    return scen

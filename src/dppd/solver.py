@@ -17,12 +17,12 @@ generic per-agent prox ladder, `dppd_round`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .functions import Box, NonnegBall, Scaled, Sum, interval_of
+from .functions import NonnegBall, Scaled, Sum, interval_of
 from .graphs import mix
 from .proxops import (
     ProxQuery,
@@ -49,27 +49,19 @@ class StepsizeSchedule:
     """Nonincreasing, vanishing, non-summable stepsizes.
 
     inv-sqrt: alpha_k = 1/sqrt(k); inv-pow: alpha_k = 1/k**power with
-    power in (0, 1] (keeps the sum divergent); custom: explicit table.
-    alpha_0 is a free finite constant (the decay rules start at k = 1).
+    power in (0, 1] (keeps the sum divergent).  alpha_0 is a free finite
+    constant (the decay rules start at k = 1).
     """
 
     rule: str = "inv-sqrt"
     power: float = 0.5
-    table: tuple = ()
     alpha0: float = 1.0
 
     def __post_init__(self):
-        if self.rule not in ("inv-sqrt", "inv-pow", "custom"):
+        if self.rule not in ("inv-sqrt", "inv-pow"):
             raise ValueError(f"unknown stepsize rule: {self.rule!r}")
         if self.rule == "inv-pow" and not 0.0 < self.power <= 1.0:
             raise ValueError("inv-pow exponent must lie in (0, 1]")
-        if self.rule == "custom":
-            t = tuple(float(a) for a in self.table)
-            if not t or any(a <= 0 for a in t) or any(
-                t[i + 1] > t[i] for i in range(len(t) - 1)
-            ):
-                raise ValueError("custom table must be positive and nonincreasing")
-            object.__setattr__(self, "table", t)
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
 
@@ -78,9 +70,7 @@ class StepsizeSchedule:
             return self.alpha0
         if self.rule == "inv-sqrt":
             return 1.0 / math.sqrt(k)
-        if self.rule == "inv-pow":
-            return float(k) ** (-self.power)
-        return self.table[min(k, len(self.table) - 1)]
+        return float(k) ** (-self.power)
 
 
 @dataclass(frozen=True)
@@ -100,6 +90,8 @@ class RunTrace:
     the round-(k+1) iterates, the stepsize alpha_k, the Lagrangian at the
     new averages, and the k-term running evaluation error.
     """
+
+    err_column = "run_eval_err"  # the error column write_trace names
 
     k: np.ndarray
     alpha: np.ndarray
@@ -122,8 +114,6 @@ class DppdConfig:
     U0: float
     stepsize: StepsizeSchedule = StepsizeSchedule()
     stride: int = 10
-    seed: int = 0
-    init: str = "origin"
     f_star: float = None
 
     def __post_init__(self):
@@ -135,18 +125,9 @@ class DppdConfig:
             raise ValueError("stride must be positive")
 
 
-def initial_state(p, U0, init="origin"):
-    if init == "origin":
-        x_start = np.zeros(p.n)
-    elif init == "center":
-        # box midpoint when available, otherwise the origin projection
-        if isinstance(p.X0, Box):
-            x_start = 0.5 * (p.X0.lo + p.X0.hi)
-        else:
-            x_start = np.zeros(p.n)
-    else:
-        raise ValueError(f"unknown initializer: {init!r}")
-    x0 = np.tile(p.X0.project(x_start), (p.N, 1))
+def initial_state(p, U0):
+    """Every agent at the projection of the origin, every dual at zero."""
+    x0 = np.tile(p.X0.project(np.zeros(p.n)), (p.N, 1))
     mu0 = np.zeros((p.N, p.m))
     return SwarmState(0, x0, mu0)
 
@@ -427,7 +408,7 @@ def run(p, sched, cfg):
     """
     if sched.N != p.N:
         raise ValueError("schedule size does not match agent count")
-    state = initial_state(p, cfg.U0, cfg.init)
+    state = initial_state(p, cfg.U0)
     plan = compile_plan(p)
     tb = _TraceBuilder(p.n, cfg.stride, cfg.f_star)
     if plan is not None:

@@ -3,8 +3,9 @@
 Schema (version 1): a comment line ``# schema=1`` followed by the header
 ``k,alpha,xbar_0..xbar_{n-1},cons_x,cons_mu,lagrangian,run_eval_err,
 constr_viol``.  Floats are written with 17 significant digits so that a
-write/read round trip reproduces every value exactly.  The comparator's
-metric column is named ``ergodic_eval_err`` instead of ``run_eval_err``.
+write/read round trip reproduces every value exactly.  The error column is
+named by the trace type (its ``err_column``): ``run_eval_err`` for a solver
+trace, ``ergodic_eval_err`` for the comparator's.
 """
 
 import numpy as np
@@ -18,13 +19,13 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
-def write_trace(trace, path, err_name="run_eval_err"):
+def write_trace(trace, path):
     n = trace.xbar.shape[1]
-    err = getattr(trace, err_name)
+    err = getattr(trace, trace.err_column)
     header = (
         ["k", "alpha"]
         + [f"xbar_{j}" for j in range(n)]
-        + ["cons_x", "cons_mu", "lagrangian", err_name, "constr_viol"]
+        + ["cons_x", "cons_mu", "lagrangian", trace.err_column, "constr_viol"]
     )
     with open(path, "w") as fh:
         fh.write(f"# schema={SCHEMA}\n")

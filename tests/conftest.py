@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 import dppd
 
 # derandomized: property tests draw the same examples on every run; no
-# deadline: example timings on a loaded machine are not a failure
-settings.register_profile("deterministic", derandomize=True, deadline=None)
+# deadline: example timings on a loaded machine are not a failure; no
+# shrink phase: shrinking nested data draws can run for many minutes, so a
+# failing example is reported as drawn
+settings.register_profile(
+    "deterministic",
+    derandomize=True,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 settings.load_profile("deterministic")
 
 

