@@ -3,37 +3,30 @@
 Each round mixes, then takes one projected subgradient step on the local
 Lagrangian in each variable (both steps evaluated at the mixed points).  The
 evaluation metric is sum_i L_i at the per-agent ergodic averages, which is
-the quantity the comparison plots use.  Comparisons against the proximal
-solver are qualitative: the reconstruction matches stepsizes and mixing but
-not any particular published constant choices.
+the quantity the comparison plots use.  The rounds, the row rule and the
+trace columns are the proximal solver's (`solver._rounds`,
+`solver._TraceBuilder`); only the round itself, the ergodic sums and the
+metric are the comparator's own.  Comparisons against the proximal solver
+are qualitative: the reconstruction matches stepsizes and mixing but not
+any particular published constant choices.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import NonnegBall
 from .graphs import mix
-from .solver import SwarmState, initial_state
+from .solver import SwarmState, Trace, _check_finite, _rounds, _TraceBuilder, initial_state
 
 __all__ = ["BaselineTrace", "csp_sg_round", "run_csp_sg"]
 
 
-@dataclass
-class BaselineTrace:
-    err_column = "ergodic_eval_err"  # the error column write_trace names
+class BaselineTrace(Trace):
+    """Trace of `run_csp_sg`: the averages are those of the ergodic
+    averages, and the metric there is both the Lagrangian column and the
+    evaluated value."""
 
-    k: np.ndarray
-    alpha: np.ndarray
-    xbar: np.ndarray
-    cons_x: np.ndarray
-    cons_mu: np.ndarray
-    lagrangian: np.ndarray  # sum_i L_i at the ergodic averages
-    ergodic_eval_err: np.ndarray
-    constr_viol: np.ndarray
-    stride: int
-    f_star: float = None
-    final_state: SwarmState = None
+    err_column = "ergodic_eval_err"
+    ergodic_eval_err = property(lambda self: self.eval_err)
 
 
 def csp_sg_round(p, A, state, alpha, U0):
@@ -53,53 +46,28 @@ def csp_sg_round(p, A, state, alpha, U0):
 
 
 def run_csp_sg(p, sched, cfg):
-    """Run the comparator and trace the ergodic evaluation metric."""
-    if sched.N != p.N:
-        raise ValueError("schedule size does not match agent count")
-    state = initial_state(p, cfg.U0)
-    x_sum = np.zeros_like(state.x)
-    mu_sum = np.zeros_like(state.mu)
-    rows = []
-    cur = state
-    for k in range(cfg.K):
-        A = sched.matrix(k)
-        alpha = cfg.stepsize.alpha(k)
+    """Run the comparator and trace the ergodic evaluation metric.
+
+    Raises FloatingPointError, naming the round and the first agent, as
+    soon as an iterate is not finite.
+    """
+    cur = initial_state(p, cfg.U0)
+    x_sum = np.zeros_like(cur.x)
+    mu_sum = np.zeros_like(cur.mu)
+    tb = _TraceBuilder(p, cfg)
+    for k, alpha, A in _rounds(p, sched, cfg):
         cur = csp_sg_round(p, A, cur, alpha, cfg.U0)
         x_sum += cur.x
         mu_sum += cur.mu
-        if (k >= 1) and ((k % cfg.stride == 0) or (k == cfg.K - 1)):
-            count = k + 1
-            x_erg = x_sum / count
-            mu_erg = mu_sum / count
+        # every iterate reaches the running sums
+        _check_finite(k, float(x_sum.sum() + mu_sum.sum()), cur.x, cur.mu)
+        if tb.due(k):
+            x_erg = x_sum / (k + 1)
+            mu_erg = mu_sum / (k + 1)
             metric = sum(
                 p.f[i].value(x_erg[i]) + float(mu_erg[i] @ p.g[i].value(x_erg[i]))
                 for i in range(p.N)
             )
-            xbar = x_erg.mean(axis=0)
-            err = abs(metric - cfg.f_star) if cfg.f_star is not None else np.nan
-            rows.append(
-                (
-                    k,
-                    alpha,
-                    xbar.copy(),
-                    float(np.linalg.norm(cur.x - cur.x.mean(axis=0), axis=1).max()),
-                    float(np.linalg.norm(cur.mu - cur.mu.mean(axis=0), axis=1).max()),
-                    metric,
-                    err,
-                    float(np.linalg.norm(np.maximum(p.constraint(xbar), 0.0))),
-                )
-            )
-    cols = list(zip(*rows)) if rows else [[]] * 8
-    return BaselineTrace(
-        k=np.array(cols[0], dtype=int),
-        alpha=np.array(cols[1], dtype=float),
-        xbar=np.array(cols[2], dtype=float).reshape(-1, p.n),
-        cons_x=np.array(cols[3], dtype=float),
-        cons_mu=np.array(cols[4], dtype=float),
-        lagrangian=np.array(cols[5], dtype=float),
-        ergodic_eval_err=np.array(cols[6], dtype=float),
-        constr_viol=np.array(cols[7], dtype=float),
-        stride=cfg.stride,
-        f_star=cfg.f_star,
-        final_state=cur,
-    )
+            xbar, mubar = x_erg.mean(axis=0), mu_erg.mean(axis=0)
+            tb.record(k, alpha, cur.x, cur.mu, xbar, mubar, metric, metric, p.constraint(xbar))
+    return tb.build(BaselineTrace, cur)

@@ -47,10 +47,15 @@ def _resolve_u0(scen):
 
 def cmd_run(args):
     scen = load_scenario(args.config)
+    if scen.solver == "dualbound":
+        sys.stdout.write(_dualbound_report(scen))
+        return 0
     lines = [f"scenario: {scen.name}", f"solver: {scen.solver}"]
-    if scen.solver == "dppd":
+    if scen.solver in ("dppd", "csp_sg"):
+        # looked up when called, so a replaced cli.run is the one that runs
+        solve = run if scen.solver == "dppd" else run_csp_sg
         cfg = _resolve_u0(scen)
-        trace = run(scen.problem, scen.schedule, cfg)
+        trace = solve(scen.problem, scen.schedule, cfg)
         path = _out_path(scen.trace_path)
         write_trace(trace, path)
         lines.append(f"trace: {path}")
@@ -58,9 +63,9 @@ def cmd_run(args):
         lines.append(f"final_cons_mu: {_fmt(trace.cons_mu[-1])}")
         if cfg.f_star is not None:
             lines.append(f"f_star: {_fmt(cfg.f_star)}")
-            lines.append(f"final_run_eval_err: {_fmt(trace.run_eval_err[-1])}")
+            lines.append(f"final_{trace.err_column}: {_fmt(trace.eval_err[-1])}")
             try:
-                slope, r2 = rate_fit(trace.k, trace.run_eval_err, 100, cfg.K)
+                slope, r2 = rate_fit(trace.k, trace.eval_err, 100, cfg.K)
                 lines.append(f"rate_slope: {_fmt(slope)}")
                 lines.append(f"rate_r2: {_fmt(r2)}")
             except ValueError:
@@ -68,23 +73,13 @@ def cmd_run(args):
         viol = trace.constr_viol[-1]
         lines.append(f"final_constr_viol: {_fmt(viol)}")
         lines.append(f"flags: {'ok' if trace.cons_x[-1] < 1.0 else 'consensus-weak'}")
-    elif scen.solver == "csp_sg":
-        cfg = _resolve_u0(scen)
-        trace = run_csp_sg(scen.problem, scen.schedule, cfg)
-        path = _out_path(scen.trace_path)
-        write_trace(trace, path)
-        lines.append(f"trace: {path}")
-        if cfg.f_star is not None:
-            lines.append(f"final_ergodic_eval_err: {_fmt(trace.ergodic_eval_err[-1])}")
-    elif scen.solver == "slater":
+    else:
         x_check = find_slater(
             scen.problem, scen.schedule, scen.config.stepsize, scen.config.K
         )
         g = scen.problem.constraint(x_check)
         lines.append(f"x_check: {' '.join(_fmt(v) for v in x_check)}")
         lines.append(f"constraint_sum: {' '.join(_fmt(v) for v in g)}")
-    else:
-        return cmd_dualbound(args)
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     summary = _out_path(scen.trace_path + ".summary.txt")
@@ -121,12 +116,11 @@ def cmd_dump_graph(args):
     return 0
 
 
-def cmd_dualbound(args):
-    scen = load_scenario(args.config)
+def _dualbound_report(scen):
     result = compute_dual_radius(
         scen.problem, scen.schedule, scen.config.stepsize, K=scen.config.K
     )
-    sys.stdout.write(
+    return (
         f"x_check: {' '.join(_fmt(v) for v in result.x_check)}\n"
         f"z_check: {' '.join(_fmt(v) for v in result.z_check)}\n"
         f"gamma_lower: {_fmt(result.gamma_lower)}\n"
@@ -135,6 +129,10 @@ def cmd_dualbound(args):
         f"U0: {_fmt(result.U0)}\n"
         f"slater_rounds: {result.slater_rounds}\n"
     )
+
+
+def cmd_dualbound(args):
+    sys.stdout.write(_dualbound_report(load_scenario(args.config)))
     return 0
 
 

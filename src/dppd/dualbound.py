@@ -122,18 +122,11 @@ def _local_dual_value(fi, gi, mu, X0):
     obj = Sum((fi,) + tuple(Scaled(c, float(m)) for c, m in zip(gi.components, mu)))
     iv = interval_of(X0)
     if iv is not None:
-        lo, hi = iv
-
+        # h increases: the minimizer is its root, or an endpoint if it has none
         def h(x):
             return float(obj.grad(np.array([x]))[0])
 
-        if h(lo) >= 0:
-            xmin = lo
-        elif h(hi) <= 0:
-            xmin = hi
-        else:
-            xmin = _bisect_scalar(h, lo, hi, 1e-12)
-        return obj.value(np.array([xmin]))
+        return obj.value(np.array([_bisect_scalar(h, *iv, 1e-12)]))
     flat = flatten_composite(obj)
     if flat is None or flat[3] != 0.0:
         raise RuntimeError("cannot minimize this composite on a non-interval set")

@@ -13,7 +13,11 @@ time.  Each round of the vectorized engine is then only the update's array
 arithmetic, in the paper's order (mix, prox, dual projection), and the
 Lagrangian at the averages is a few scalar flops.  Leaving the zero terms
 out changes no bit of the trajectory.  Everything else runs through the
-generic per-agent prox ladder, `dppd_round`.
+generic per-agent prox ladder, `dppd_round`, in the same loop.
+
+The round iteration (`_rounds`), the trace type (`Trace`) and its builder
+(`_TraceBuilder`, which owns the rule for the recorded rows) are shared with
+the subgradient comparator in `baseline`.
 """
 
 import math
@@ -83,15 +87,16 @@ class SwarmState:
 
 
 @dataclass
-class RunTrace:
-    """Sampled per-round records.
+class Trace:
+    """Sampled per-round records of a method.
 
     Row at index k (k >= 1) is written after round k completes: it carries
-    the round-(k+1) iterates, the stepsize alpha_k, the Lagrangian at the
-    new averages, and the k-term running evaluation error.
+    the stepsize alpha_k, the agent averages xbar and mubar of the evaluated
+    points, the consensus spreads of the round-(k+1) iterates, the
+    Lagrangian column, the evaluated value with its error |value - f_star|
+    (NaN without f_star), and the violation of the summed constraint at
+    xbar.  The subclass names the error column that write_trace writes.
     """
-
-    err_column = "run_eval_err"  # the error column write_trace names
 
     k: np.ndarray
     alpha: np.ndarray
@@ -100,12 +105,21 @@ class RunTrace:
     cons_x: np.ndarray
     cons_mu: np.ndarray
     lagrangian: np.ndarray
-    run_eval_err: np.ndarray
+    eval_err: np.ndarray
     constr_viol: np.ndarray
-    run_mean: np.ndarray  # running average of the Lagrangian (in-memory only)
+    value: np.ndarray  # the evaluated value (in-memory only)
     stride: int
     f_star: float = None
     final_state: SwarmState = None
+
+
+class RunTrace(Trace):
+    """Trace of `run`: the evaluated value is the running mean of the
+    Lagrangian at the averages."""
+
+    err_column = "run_eval_err"
+    run_eval_err = property(lambda self: self.eval_err)
+    run_mean = property(lambda self: self.value)
 
 
 @dataclass(frozen=True)
@@ -336,67 +350,69 @@ def compile_plan(p):
 # ----------------------------------------------------------------------
 
 
-class _TraceBuilder:
-    def __init__(self, n, stride, f_star):
-        self.rows = []
-        self.n = n
-        self.stride = stride
-        self.f_star = f_star
-        self.lag_sum = 0.0
+def _rounds(p, sched, cfg):
+    """(k, alpha_k, A_k) for the rounds k < cfg.K of a synchronous method."""
+    if sched.N != p.N:
+        raise ValueError("schedule size does not match agent count")
+    return ((k, cfg.stepsize.alpha(k), sched.matrix(k)) for k in range(cfg.K))
 
-    def observe(self, k, alpha, x, mu, lag_value, g_total, record):
-        # called after round k completes with the round-(k+1) iterates
-        self.lag_sum += lag_value
-        if not record:
-            return
-        xbar = x.mean(axis=0)
-        mubar = mu.mean(axis=0)
-        cons_x = float(np.linalg.norm(x - xbar, axis=1).max())
-        cons_mu = float(np.linalg.norm(mu - mubar, axis=1).max())
-        run_mean = self.lag_sum / k
-        err = abs(run_mean - self.f_star) if self.f_star is not None else np.nan
+
+def _spread(a):
+    """Largest distance of an agent's row from the agent average."""
+    return float(np.linalg.norm(a - a.mean(axis=0), axis=1).max())
+
+
+class _TraceBuilder:
+    """Rows of a trace: after round k >= 1 when k is a multiple of the
+    stride or the last round."""
+
+    def __init__(self, p, cfg):
+        self.rows = []
+        self.n, self.m, self.cfg = p.n, p.m, cfg
+
+    def due(self, k):
+        return k >= 1 and (k % self.cfg.stride == 0 or k == self.cfg.K - 1)
+
+    def record(self, k, alpha, x, mu, xbar, mubar, lagrangian, value, g_total):
+        """One row, its entries in Trace's field order: x, mu are the
+        round-(k+1) iterates, xbar, mubar the averages of the evaluated
+        points, g_total the summed constraint at xbar."""
+        f_star = self.cfg.f_star
+        err = abs(value - f_star) if f_star is not None else np.nan
         viol = float(np.linalg.norm(np.maximum(g_total, 0.0)))
         self.rows.append(
-            (k, alpha, xbar.copy(), mubar.copy(), cons_x, cons_mu, lag_value, err, viol, run_mean)
+            (k, alpha, xbar, mubar, _spread(x), _spread(mu), lagrangian, err, viol, value)
         )
 
-    def build(self, final_state):
-        if self.rows:
-            cols = list(zip(*self.rows))
-        else:
-            cols = [[]] * 10
-        m = self.rows[0][3].shape[0] if self.rows else 1
-        return RunTrace(
-            k=np.array(cols[0], dtype=int),
-            alpha=np.array(cols[1], dtype=float),
-            xbar=np.array(cols[2], dtype=float).reshape(-1, self.n),
-            mubar=np.array(cols[3], dtype=float).reshape(-1, m),
-            cons_x=np.array(cols[4], dtype=float),
-            cons_mu=np.array(cols[5], dtype=float),
-            lagrangian=np.array(cols[6], dtype=float),
-            run_eval_err=np.array(cols[7], dtype=float),
-            constr_viol=np.array(cols[8], dtype=float),
-            run_mean=np.array(cols[9], dtype=float),
-            stride=self.stride,
-            f_star=self.f_star,
+    def build(self, kind, final_state):
+        k, alpha, xbar, mubar, *rest = list(zip(*self.rows)) or [()] * 10
+        return kind(
+            np.array(k, dtype=int),
+            np.array(alpha, dtype=float),
+            np.array(xbar, dtype=float).reshape(-1, self.n),
+            np.array(mubar, dtype=float).reshape(-1, self.m),
+            *(np.array(c, dtype=float) for c in rest),
+            stride=self.cfg.stride,
+            f_star=self.cfg.f_star,
             final_state=final_state,
         )
 
 
-def _check_finite(k, lag, x, mu):
-    """Raise on a non-finite Lagrangian at the averages after round k.
+def _check_finite(k, value, x, mu):
+    """Raise after round k if value, a scalar that every iterate reaches
+    (the Lagrangian at the averages, say), is not finite.
 
     Any NaN in an iterate reaches that scalar, so the agents are searched
     only once it is not finite.
     """
-    if math.isfinite(lag):
+    if math.isfinite(value):
         return
     N = x.shape[0]
     finite = np.isfinite(np.hstack([x.reshape(N, -1), mu.reshape(N, -1)]))
     bad = np.flatnonzero(~finite.all(axis=1))
     if bad.size:
         raise FloatingPointError(f"non-finite iterate at agent {bad[0]} in round {k}")
-    raise FloatingPointError(f"non-finite Lagrangian at the averages in round {k}")
+    raise FloatingPointError(f"non-finite evaluation of finite iterates in round {k}")
 
 
 def run(p, sched, cfg):
@@ -406,40 +422,38 @@ def run(p, sched, cfg):
     FloatingPointError, naming the round and the first agent, as soon as an
     iterate is not finite.
     """
-    if sched.N != p.N:
-        raise ValueError("schedule size does not match agent count")
-    state = initial_state(p, cfg.U0)
+    N, U0 = p.N, cfg.U0
+    state = initial_state(p, U0)
     plan = compile_plan(p)
-    tb = _TraceBuilder(p.n, cfg.stride, cfg.f_star)
     if plan is not None:
-        N = p.N
+        # scalar iterates, with (N,) duals when m == 1
         x = state.x[:, 0].copy()
         mu = state.mu[:, 0].copy() if plan.m == 1 else state.mu.copy()
-        for k in range(cfg.K):
-            alpha = cfg.stepsize.alpha(k)
-            x, mu = plan.step(sched.matrix(k), x, mu, alpha, cfg.U0)
-            lag, g_tot = plan.at_averages(float(x.sum() / N), mu.sum(axis=0) / N)
-            _check_finite(k, lag, x, mu)
-            if k >= 1:
-                record = (k % cfg.stride == 0) or (k == cfg.K - 1)
-                tb.observe(k, alpha, x[:, None], mu.reshape(N, -1), lag, g_tot, record)
-        final = SwarmState(cfg.K, x[:, None].copy(), mu.reshape(N, -1).copy())
+
+        def step(k, A, x, mu, alpha):
+            x, mu = plan.step(A, x, mu, alpha, U0)
+            return x, mu, *plan.at_averages(float(x.sum() / N), mu.sum(axis=0) / N)
+
     else:
-        cur = state
-        for k in range(cfg.K):
-            A = sched.matrix(k)
-            alpha = cfg.stepsize.alpha(k)
-            cur = dppd_round(p, A, cur, alpha, cfg.U0)
-            xbar = cur.x.mean(axis=0)
-            mubar = cur.mu.mean(axis=0)
+        x, mu = state.x, state.mu
+
+        def step(k, A, x, mu, alpha):
+            new = dppd_round(p, A, SwarmState(k, x, mu), alpha, U0)
+            xbar = new.x.mean(axis=0)
             g_tot = p.constraint(xbar)
-            lag = p.objective(xbar) + float(mubar @ g_tot)
-            _check_finite(k, lag, cur.x, cur.mu)
-            if k >= 1:
-                record = (k % cfg.stride == 0) or (k == cfg.K - 1)
-                tb.observe(k, alpha, cur.x, cur.mu, lag, g_tot, record)
-        final = cur
-    return tb.build(final)
+            return new.x, new.mu, p.objective(xbar) + float(new.mu.mean(axis=0) @ g_tot), g_tot
+
+    tb = _TraceBuilder(p, cfg)
+    lag_sum = 0.0  # of the Lagrangians at the averages after rounds 1..k
+    for k, alpha, A in _rounds(p, sched, cfg):
+        x, mu, lag, g_tot = step(k, A, x, mu, alpha)
+        _check_finite(k, lag, x, mu)
+        if k >= 1:
+            lag_sum += lag
+        if tb.due(k):
+            xs, mus = x.reshape(N, -1), mu.reshape(N, -1)
+            tb.record(k, alpha, xs, mus, xs.mean(axis=0), mus.mean(axis=0), lag, lag_sum / k, g_tot)
+    return tb.build(RunTrace, SwarmState(cfg.K, x.reshape(N, -1).copy(), mu.reshape(N, -1).copy()))
 
 
 def running_eval_error(trace, f_star):

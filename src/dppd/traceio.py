@@ -3,9 +3,10 @@
 Schema (version 1): a comment line ``# schema=1`` followed by the header
 ``k,alpha,xbar_0..xbar_{n-1},cons_x,cons_mu,lagrangian,run_eval_err,
 constr_viol``.  Floats are written with 17 significant digits so that a
-write/read round trip reproduces every value exactly.  The error column is
-named by the trace type (its ``err_column``): ``run_eval_err`` for a solver
-trace, ``ergodic_eval_err`` for the comparator's.
+write/read round trip reproduces every value exactly.  Both methods share
+one trace type; its error column ``eval_err`` is written under the name its
+subclass gives (``err_column``): ``run_eval_err`` for a solver trace,
+``ergodic_eval_err`` for the comparator's.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ def _fmt(v):
 
 def write_trace(trace, path):
     n = trace.xbar.shape[1]
-    err = getattr(trace, trace.err_column)
     header = (
         ["k", "alpha"]
         + [f"xbar_{j}" for j in range(n)]
@@ -38,7 +38,7 @@ def write_trace(trace, path):
                     _fmt(trace.cons_x[r]),
                     _fmt(trace.cons_mu[r]),
                     _fmt(trace.lagrangian[r]),
-                    _fmt(err[r]),
+                    _fmt(trace.eval_err[r]),
                     _fmt(trace.constr_viol[r]),
                 ]
             )

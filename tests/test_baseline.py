@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import dppd
 from dppd import (
     Affine,
     Box,
@@ -112,6 +111,8 @@ def test_metric_is_lagrangian_at_ergodic_averages():
     )
     assert tr.lagrangian[-1] == pytest.approx(metric, abs=1e-12)
     assert tr.ergodic_eval_err[-1] == pytest.approx(abs(metric), abs=1e-12)
+    assert np.array_equal(tr.xbar[-1], x_erg.mean(axis=0))
+    assert np.array_equal(tr.mubar[-1], mu_erg.mean(axis=0))
 
 
 def test_determinism_and_trace_shape(paper_problem):

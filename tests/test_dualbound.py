@@ -8,7 +8,6 @@ import dppd
 from dppd import (
     Affine,
     Box,
-    DualBoundResult,
     Problem,
     Quadratic,
     SlaterError,

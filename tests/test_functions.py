@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-import dppd
 from dppd import (
     Affine,
     Ball,

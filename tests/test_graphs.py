@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import dppd
 from dppd import GraphSchedule, make_schedule, mix, validate_schedule
 from dppd.graphs import is_strongly_connected
 

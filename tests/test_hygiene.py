@@ -1,13 +1,18 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package or of its tests imports a name
+it never uses."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dppd"
-# __init__.py imports names only to re-export them
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "dppd"
+# __init__.py imports names only to re-export them; the acceptance gate is
+# frozen as released
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    p for p in TESTS.glob("*.py") if p.name != "test_acceptance.py"
+)
 
 
 def unused_imports(source):
@@ -28,6 +33,8 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(src) == [(1, "os"), (2, "sqrt")]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize(
+    "module", MODULES, ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}"
+)
 def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text()) == [], module
+    assert unused_imports(module.read_text()) == [], module.name

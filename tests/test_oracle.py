@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import dppd
 from dppd import (
     Affine,
     Box,

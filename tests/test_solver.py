@@ -23,6 +23,7 @@ from dppd import (
     prox_solve,
     rate_fit,
     run,
+    run_csp_sg,
     running_eval_error,
 )
 from dppd.functions import constant
@@ -369,30 +370,41 @@ def test_per_step_displacement_bounds(paper_problem):
         cur = nxt
 
 
+def test_schedule_size_mismatch_rejected():
+    p = dppd.build_paper_example(N=4, b=0.2)
+    with pytest.raises(ValueError, match="schedule size"):
+        run(p, make_schedule(N=5, Q=2), DppdConfig(K=3, U0=1.0))
+
+
 @pytest.mark.parametrize(
     "engine, error",
-    [("compiled", FloatingPointError), ("generic", RuntimeError)],
+    [
+        ("compiled", FloatingPointError),
+        ("generic", RuntimeError),
+        ("comparator", FloatingPointError),
+    ],
 )
 def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
     # a NaN weight in agent 2's row reaches its iterates in round 0; the box
     # keeps x away from 0 so the NaN is not multiplied by an exact zero.  The
     # compiled engine catches it at the averages; the generic prox rejects
-    # the NaN anchor first.
+    # the NaN anchor first; the comparator catches it in its ergodic sums.
     N = 4
     A = np.full((N, N), 1.0 / N)
     A[2, 1] = np.nan
     sched = dppd.GraphSchedule.from_cycle([A])
-    if engine == "compiled":
-        p = dppd.build_paper_example(N=N, b=0.2, lo=0.25, hi=1.0)
-    else:
+    if engine == "generic":
         p = Problem(
             f=tuple(Quadratic(np.eye(2), np.ones(2)) for _ in range(N)),
             g=tuple(VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N)),
             X0=Box(np.full(2, 0.25), np.ones(2)),
         )
+    else:
+        p = dppd.build_paper_example(N=N, b=0.2, lo=0.25, hi=1.0)
     assert (compile_plan(p) is None) == (engine == "generic")
+    solve = run_csp_sg if engine == "comparator" else run
     with pytest.raises(error, match="agent 2 in round 0"):
-        run(p, sched, DppdConfig(K=5, U0=1.0))
+        solve(p, sched, DppdConfig(K=5, U0=1.0))
 
 
 # --------------------------------------------------------- error + rate fit

@@ -283,6 +283,37 @@ def test_cli_run_dualbound_source_runs_protocol_once(tmp_path, monkeypatch, caps
     assert read_trace(tmp_path / "out" / "demo.csv")["k"][-1] == 199
 
 
+def test_cli_run_dualbound_solver_loads_scenario_once(tmp_path, monkeypatch, capsys):
+    cfgfile = _write_scenario(tmp_path, DUALBOUND_TEXT.replace("solver = dppd", "solver = dualbound"))
+    loads = []
+    load = cli.load_scenario
+
+    def counted(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_scenario", counted)
+    assert main(["run", cfgfile]) == 0
+    assert loads == [cfgfile]
+    assert "U0:" in capsys.readouterr().out
+
+
+def test_cli_run_summary_is_the_same_for_both_solvers(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DPPD_OUTPUT_DIR", str(tmp_path / "out"))
+    keys = {}
+    for solver in ("dppd", "csp_sg"):
+        text = SCENARIO_TEXT.replace("solver = dppd", f"solver = {solver}")
+        assert main(["run", _write_scenario(tmp_path, text)]) == 0
+        summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        keys[solver] = list(summary)
+        err = read_trace(tmp_path / "out" / "demo.csv")
+        name = "run_eval_err" if solver == "dppd" else "ergodic_eval_err"
+        assert float(summary[f"final_{name}"]) == pytest.approx(err[name][-1], rel=1e-11)
+    assert keys["csp_sg"] == [
+        k.replace("run_eval_err", "ergodic_eval_err") for k in keys["dppd"]
+    ]
+
+
 def test_cli_compare_subcommand(tmp_path, capsys, paper_problem):
     s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
     ref = dppd.paper_example_reference()
