@@ -128,6 +128,7 @@ def _dualbound_report(scen):
         f"q_min: {_fmt(result.q_min)}\n"
         f"U0: {_fmt(result.U0)}\n"
         f"slater_rounds: {result.slater_rounds}\n"
+        f"certify_blocks: {result.certify_blocks}\n"
     )
 
 

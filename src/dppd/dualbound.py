@@ -6,10 +6,19 @@ Three phases, all barrier-synchronized on the same graph schedule:
   2. certify strict negativity of the constraint sum through interleaved
      average-consensus steps (the plain mix z <- A z, which keeps the agent
      sum) and finite-time max-consensus sweeps,
-  3. agree on max_i f_i and min_i q_i by further max-consensus sweeps and
-     assemble the radius N*(f_max - q_min)/gamma_lower.
+  3. agree on max_i f_i and min_i q_i by one further max-consensus sweep
+     over both columns and assemble the radius N*(f_max - q_min)/gamma_lower.
+
+A max-consensus step is one gather of the in-neighbor values and one
+segmented max over them, O(nnz) for a round matrix with nnz positive
+entries.  Finding those entries, the row supports, costs an O(N^2) scan of
+the dense matrix, done once per distinct round matrix a sweep meets: a
+periodic schedule returns the same Q matrices over and over, so a sweep of
+(N-1)*Q steps scans only Q of them (a schedule that builds each round's
+matrix anew, such as birkhoff, is scanned at every step).
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,22 +75,59 @@ def find_slater(p, sched, stepsize, K):
     return x_check
 
 
-def _max_step(A, s):
-    out = np.empty_like(s)
-    for i in range(A.shape[0]):
-        out[i] = s[A[i] > 0].max(axis=0)
-    return out
+class _MaxSweep:
+    """Max-consensus steps of one sweep, with each round matrix's row
+    supports found once.
+
+    Supports are memoized by id(A) and count as known only while a weak
+    reference to A still returns A, so a freed matrix whose id is reused by
+    a fresh one (a schedule that builds each round's matrix anew) is
+    scanned again.  No strong reference to a matrix is held, and each scan
+    drops the entries of freed matrices.  A schedule must not change a
+    matrix in place once matrix(k) has returned it.
+    """
+
+    def __init__(self):
+        self._supports = {}  # id(A) -> (weakref to A, cols, starts)
+
+    def step(self, A, s):
+        """Componentwise max over the in-neighbors of each agent (the
+        positive entries of its row of A)."""
+        hit = self._supports.get(id(A))
+        if hit is None or hit[0]() is not A:
+            hit = self._scan(A)
+        return np.maximum.reduceat(s[hit[1]], hit[2], axis=0)
+
+    def _scan(self, A):
+        pos = A > 0
+        counts = np.count_nonzero(pos, axis=1)
+        if not counts.all():
+            i = int(np.argmin(counts))
+            raise ValueError(f"round matrix row {i} has no positive entry")
+        starts = np.zeros_like(counts)
+        np.cumsum(counts[:-1], out=starts[1:])
+        hit = (weakref.ref(A), np.nonzero(pos)[1], starts)
+        self._supports = {
+            key: val for key, val in self._supports.items() if val[0]() is not None
+        }
+        self._supports[id(A)] = hit
+        return hit
 
 
 def max_consensus_round(sched, k0, s, steps):
     """Componentwise max over in-neighbors (self included) for the given
     number of rounds; exact after (N-1)*Q steps on a jointly connected
-    schedule since max only selects existing values."""
+    schedule since max only selects existing values.
+
+    Raises ValueError on a round matrix with a row that has no positive
+    entry (all zero or NaN).
+    """
     s = np.array(s, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
+    sweep = _MaxSweep()
     for t in range(steps):
-        s = _max_step(sched.matrix(k0 + t), s)
+        s = sweep.step(sched.matrix(k0 + t), s)
     return s
 
 
@@ -102,11 +148,12 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
             return z[0].copy()
         raise SlaterError("single-agent constraint value not negative")
     k = 0
+    sweep = _MaxSweep()
     for block in range(max_rounds):
         s = z.copy()
         for _ in range(sigma):
             A = sched.matrix(k)
-            s = _max_step(A, s)
+            s = sweep.step(A, s)
             z = A @ z
             k += 1
         z_max = s[0]
@@ -141,8 +188,9 @@ def _local_dual_value(fi, gi, mu, X0):
 def assemble_bound(p, sched, x_check, z_check, mu_check=None, counts=(0, 0)):
     """Radius on the optimal dual set from the certified quantities.
 
-    gamma_lower = min_l(-N * z_check_l); f_max and q_min come from
-    finite-time max-consensus over the agents' local values.
+    gamma_lower = min_l(-N * z_check_l); f_max and q_min come from one
+    finite-time max-consensus sweep over the agents' local values f_i and
+    -q_i, as two independent columns.
     """
     if np.any(z_check >= 0):
         raise ValueError("certified value must be componentwise negative")
@@ -158,8 +206,9 @@ def assemble_bound(p, sched, x_check, z_check, mu_check=None, counts=(0, 0)):
         [_local_dual_value(fi, gi, mu_check, p.X0) for fi, gi in zip(p.f, p.g)]
     )
     sigma = (N - 1) * sched.Q
-    f_max = float(max_consensus_round(sched, 0, f_vals, sigma)[0, 0])
-    q_min = -float(max_consensus_round(sched, 0, -q_vals, sigma)[0, 0])
+    agreed = max_consensus_round(sched, 0, np.column_stack([f_vals, -q_vals]), sigma)
+    f_max = float(agreed[0, 0])
+    q_min = -float(agreed[0, 1])
     U0 = N * (f_max - q_min) / gamma_lower
     return DualBoundResult(
         x_check=np.asarray(x_check, dtype=float),

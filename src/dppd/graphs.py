@@ -249,9 +249,9 @@ def validate_schedule(sched, horizon):
     connected = True
     first_bad = -1
     for k in range(horizon - sched.Q + 1):
-        union = np.zeros_like(mats[0])
-        for A in mats[k : k + sched.Q]:
-            union = union + (A > 0)
+        union = mats[k] > 0
+        for A in mats[k + 1 : k + sched.Q]:
+            union |= A > 0
         if not is_strongly_connected(union):
             connected = False
             first_bad = k

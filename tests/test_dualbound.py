@@ -8,6 +8,7 @@ import dppd
 from dppd import (
     Affine,
     Box,
+    GraphSchedule,
     Problem,
     Quadratic,
     SlaterError,
@@ -21,7 +22,9 @@ from dppd import (
     max_consensus_round,
     mix,
 )
+from dppd import dualbound
 from dppd.functions import constant
+from dppd.graphs import FAMILIES
 from dppd.oracle import brute_force_saddle
 
 from conftest import random_small_instance
@@ -110,6 +113,76 @@ def test_max_consensus_fixed_point_at_agreement():
     vals = np.full((5, 2), 3.3)
     out = max_consensus_round(s, 0, vals, 10)
     assert np.array_equal(out, vals)
+
+
+def _max_step_loop(A, s):
+    """One max-consensus step as a loop over the rows: the reference."""
+    out = np.empty_like(s)
+    for i in range(A.shape[0]):
+        out[i] = s[A[i] > 0].max(axis=0)
+    return out
+
+
+def _fresh_schedule(N, Q):
+    """A schedule that builds a new matrix on every call, with a support
+    that changes from round to round."""
+
+    def matrix(k):
+        rng = np.random.default_rng([7, k])
+        A = np.eye(N) + (rng.random((N, N)) < 0.3)
+        return A / A.sum(axis=1, keepdims=True)
+
+    return GraphSchedule(N=N, Q=Q, a=0.0, seed=7, family="fresh", _matrix_fn=matrix)
+
+
+def _cycle_schedule(N):
+    rng = np.random.default_rng(3)
+    mats = [np.eye(N) + (rng.random((N, N)) < p) for p in (0.1, 0.4, 0.0)]
+    return GraphSchedule.from_cycle([A / A.sum(axis=1, keepdims=True) for A in mats])
+
+
+EQUIVALENCE_SCHEDULES = {
+    **{fam: (lambda fam=fam: make_schedule(N=6, Q=2, a=0.1, seed=1, family=fam)) for fam in FAMILIES},
+    "from_cycle": lambda: _cycle_schedule(6),
+    "fresh": lambda: _fresh_schedule(6, 2),
+}
+
+
+@pytest.mark.parametrize("k0", [0, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SCHEDULES))
+def test_max_consensus_matches_row_loop_step_by_step(name, m, k0, monkeypatch):
+    # every intermediate state, bit for bit: signed zeros compete for the
+    # max and one NaN spreads from agent 2 in the last column
+    s = EQUIVALENCE_SCHEDULES[name]()
+    if name == "fresh":
+        # all matrices share one id, as a freed matrix and the next round's
+        # can: only the weak reference tells them apart
+        monkeypatch.setattr(dualbound, "id", lambda obj: 0, raising=False)
+    rng = np.random.default_rng([m, k0])
+    signed_zeros = rng.choice([-0.0, 0.0, -1.5, -0.25], size=(s.N, m))
+    with_nan = signed_zeros.copy()
+    with_nan[2, -1] = np.nan
+    for vals in (signed_zeros, with_nan):
+        ref = vals
+        for steps in range(1, (s.N - 1) * s.Q + 1):
+            ref = _max_step_loop(s.matrix(k0 + steps - 1), ref)
+            out = max_consensus_round(s, k0, vals, steps)
+            assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), steps
+
+
+@pytest.mark.parametrize("row", [0.0, np.nan], ids=["zero-row", "nan-row"])
+def test_max_consensus_rejects_row_without_positive_entry(row):
+    A = np.eye(3)
+    A[1] = row
+    s = GraphSchedule.from_cycle([np.eye(3), A])
+    with pytest.raises(ValueError, match="row 1"):
+        max_consensus_round(s, 0, np.arange(3.0), 2)
+    f = tuple(Affine(np.array([1.0])) for _ in range(3))
+    g = tuple(VectorConstraint((constant(1, -1.0),)) for _ in range(3))
+    p = Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
+    with pytest.raises(ValueError, match="row 1"):
+        certify_negative(p, s, np.array([0.5]))
 
 
 # ------------------------------------------------------------------ certify

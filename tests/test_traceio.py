@@ -237,6 +237,14 @@ def test_cli_dualbound_reports_radius(tmp_path, capsys):
     out = capsys.readouterr().out
     u0 = float([l for l in out.splitlines() if l.startswith("U0:")][0].split()[1])
     assert u0 > 0
+    # the line after slater_rounds reports the blocks the protocol used
+    scen = load_scenario(cfgfile)
+    res = dppd.compute_dual_radius(
+        scen.problem, scen.schedule, scen.config.stepsize, K=scen.config.K
+    )
+    lines = out.splitlines()
+    i = next(i for i, l in enumerate(lines) if l.startswith("slater_rounds:"))
+    assert lines[i + 1] == f"certify_blocks: {res.certify_blocks}"
 
 
 DUALBOUND_TEXT = SCENARIO_TEXT.replace("K = 60", "K = 200").replace(
