@@ -19,7 +19,6 @@ from .dualbound import (
 )
 from .functions import (
     Affine,
-    Ball,
     Box,
     DomainError,
     NegLog,

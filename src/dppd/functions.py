@@ -21,7 +21,6 @@ __all__ = [
     "constant",
     "VectorConstraint",
     "Box",
-    "Ball",
     "NonnegBall",
     "interval_of",
     "Problem",
@@ -232,33 +231,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius >= 0):
-            raise ValueError("radius must be finite and nonnegative")
-        object.__setattr__(
-            self, "center", np.atleast_1d(np.asarray(self.center, dtype=float))
-        )
-
-    @property
-    def dim(self):
-        return self.center.shape[0]
-
-    def project(self, z):
-        v = _as_point(z) - self.center
-        nrm = np.linalg.norm(v)
-        if nrm <= self.radius:
-            return self.center + v
-        return self.center + v * (self.radius / nrm)
-
-    def contains(self, z, tol=1e-12):
-        return np.linalg.norm(_as_point(z) - self.center) <= self.radius + tol
-
-
-@dataclass(frozen=True)
 class NonnegBall:
     """{z >= 0, ||z|| <= radius}: nonnegative orthant cut by an origin ball.
 
@@ -296,8 +268,6 @@ def interval_of(s):
         return None
     if isinstance(s, Box):
         return float(s.lo[0]), float(s.hi[0])
-    if isinstance(s, Ball):
-        return float(s.center[0] - s.radius), float(s.center[0] + s.radius)
     if isinstance(s, NonnegBall):
         return 0.0, float(s.radius)
     return None

@@ -4,9 +4,17 @@ Entry a_ij > 0 means agent i receives from agent j.  Every generated matrix
 is doubly stochastic with self-loop and nonzero weights bounded below by the
 configured floor, and every window of Q consecutive rounds has a strongly
 connected union digraph.
+
+Every family is built from numpy arrays of weighted edges: a periodic
+family's Q round matrices once, when the schedule is made, and a birkhoff
+round each time it is asked for.  An entry that several edges touch
+accumulates edge by edge, i then j; that order is what keeps every bit of
+every matrix.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -50,9 +58,7 @@ class GraphSchedule:
     N: int
     Q: int
     a: float
-    seed: int
-    family: str
-    _matrix_fn: object = field(repr=False, default=None)
+    _matrix_fn: object = field(repr=False)
 
     def matrix(self, k):
         if k < 0:
@@ -60,7 +66,7 @@ class GraphSchedule:
         return self._matrix_fn(k)
 
     @staticmethod
-    def from_cycle(matrices, Q=None, a=0.0, seed=0, family="custom"):
+    def from_cycle(matrices, Q=None, a=0.0):
         """Schedule cycling through an explicit list of matrices."""
         mats = [np.asarray(M, dtype=float) for M in matrices]
         N = mats[0].shape[0]
@@ -68,72 +74,39 @@ class GraphSchedule:
             N=N,
             Q=Q if Q is not None else len(mats),
             a=a,
-            seed=seed,
-            family=family,
             _matrix_fn=lambda k: mats[k % len(mats)],
         )
 
 
-def _ring_groups(N, Q):
-    """Partition the undirected ring transpositions (i, i+1 mod N) into Q
-    node-disjoint groups; window of Q rounds then covers the whole ring."""
-    groups = [[] for _ in range(Q)]
-    used = [set() for _ in range(Q)]
-    for i in range(N):
-        pair = (i, (i + 1) % N)
-        for off in range(Q):
-            g = (i + off) % Q
-            if pair[0] not in used[g] and pair[1] not in used[g]:
-                groups[g].append(pair)
-                used[g].update(pair)
-                break
-        else:
-            raise ValueError(f"cannot partition ring into {Q} disjoint groups")
-    return groups
+def _ring_rounds(N, Q):
+    """Round of each ring edge (i, i+1 mod N) for Q >= 2 with no two edges
+    of a round sharing a node: edge i takes round i % Q, and the closing
+    edge (N-1, 0) the first round from (N-1) % Q on that holds neither edge
+    0 nor edge N-2."""
+    rounds = np.arange(N) % Q
+    taken = (rounds[0], rounds[-2])
+    free = [r for r in np.arange(N - 1, N - 1 + Q) % Q if r not in taken]
+    if not free:
+        raise ValueError(f"cannot partition ring into {Q} disjoint groups")
+    rounds[-1] = free[0]
+    return rounds
 
 
-def _involution_matrix(N, pairs, w):
-    A = np.eye(N)
-    for i, j in pairs:
-        A[i, i] = 1.0 - w
-        A[j, j] = 1.0 - w
-        A[i, j] = w
-        A[j, i] = w
-    return A
-
-
-def _chorded_matrices(N, Q, a, seed):
-    """Round matrices for the chorded family: the base digraph is the
-    undirected ring plus two seeded random perfect matchings; its edges are
-    split into Q groups used cyclically, so every Q-round window unions to
-    the full (strongly connected) base digraph.  Each round's matrix is a
-    convex combination of the active transposition involutions."""
-    wc, wr = 0.4, max(0.01, a)  # chord weight floored so entries stay >= a
-    edges = []  # (i, j, weight, group)
-    for i in range(N):
-        edges.append((i, (i + 1) % N, wc, i % Q))
-    c = 0
-    for m in range(2):
-        rng = np.random.default_rng([seed, m])
-        perm = rng.permutation(N)
-        for j in range(N // 2):
-            edges.append((int(perm[2 * j]), int(perm[2 * j + 1]), wr, c % Q))
-            c += 1
-    # cap per-round node load so diagonals stay above the floor
+def _involutions(N, Q, a, edges, w, rounds):
+    """Q matrices, each the identity plus w * (e_ij + e_ji - e_ii - e_jj) for
+    every edge (i, j) of its round.  Where a node's load in some round
+    exceeds 1 - a, every weight is scaled by the one factor that brings the
+    largest load to 1 - a.  Loads and entries accumulate edge by edge, i
+    then j, the order that fixes their bits."""
+    rounds, ends, w = np.repeat(rounds, 2), edges.ravel(), np.repeat(w, 2)
     load = np.zeros((Q, N))
-    for i, j, w, g in edges:
-        load[g, i] += w
-        load[g, j] += w
-    scale = min(1.0, (1.0 - a) / load.max())
-    mats = [np.eye(N) for _ in range(Q)]
-    for i, j, w, g in edges:
-        w *= scale
-        A = mats[g]
-        A[i, i] -= w
-        A[j, j] -= w
-        A[i, j] += w
-        A[j, i] += w
-    return mats
+    np.add.at(load, (rounds, ends), w)
+    w = w * min(1.0, (1.0 - a) / load.max())
+    mats = np.zeros((Q, N, N))
+    mats[:, np.arange(N), np.arange(N)] = 1.0
+    np.add.at(mats, (rounds, ends, ends), -w)
+    np.add.at(mats, (rounds, ends, edges[:, ::-1].ravel()), w)
+    return list(mats)
 
 
 def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
@@ -160,37 +133,36 @@ def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
     # floor above 1/N cannot hold on every family's densest row; clip
     a = min(a, 1.0 / N)
 
-    if N == 1:
-        one = np.ones((1, 1))
-        return GraphSchedule(N, Q, a, seed, family, _matrix_fn=lambda k: one)
-
-    if family == "complete":
-        A = np.full((N, N), 1.0 / N)
-        return GraphSchedule(N, Q, a, seed, family, _matrix_fn=lambda k: A)
-
-    cycle = np.zeros((N, N))
-    for i in range(N):
-        cycle[(i + 1) % N, i] = 1.0
-
-    if family == "ring":
-        A = a * np.eye(N) + (1.0 - a) * cycle
-        return GraphSchedule(N, Q, a, seed, family, _matrix_fn=lambda k: A)
-
-    if family == "round-robin":
-        if Q == 1:
-            A = a * np.eye(N) + (1.0 - a) * cycle
-            return GraphSchedule(N, Q, a, seed, family, _matrix_fn=lambda k: A)
-        w = 0.5
-        mats = [_involution_matrix(N, g, w) for g in _ring_groups(N, Q)]
-        return GraphSchedule(
-            N, Q, a, seed, family, _matrix_fn=lambda k: mats[k % len(mats)]
-        )
-
+    if N == 1 or family == "complete":
+        return GraphSchedule.from_cycle([np.full((N, N), 1.0 / N)], Q, a)
+    ring = np.arange(N)
+    nxt = (ring + 1) % N  # ring edge i joins i and nxt[i]
+    if family == "round-robin" and Q > 1:
+        edges = np.array([ring, nxt]).T
+        mats = _involutions(N, Q, a, edges, np.full(N, 0.5), _ring_rounds(N, Q))
+        return GraphSchedule.from_cycle(mats, Q, a)
     if family == "chorded":
-        mats = _chorded_matrices(N, Q, a, seed)
-        return GraphSchedule(
-            N, Q, a, seed, family, _matrix_fn=lambda k: mats[k % len(mats)]
-        )
+        # the matchings' edges are dealt to the rounds in turn, as the ring's
+        # are; chord weight floored at a, though the load cap can scale it
+        # below
+        edges = [np.array([ring, nxt]).T]
+        for m in range(2):
+            perm = np.random.default_rng([seed, m]).permutation(N)
+            edges.append(perm[: N - N % 2].reshape(-1, 2))
+        edges = np.concatenate(edges)
+        nc = len(edges) - N
+        w = np.concatenate([np.full(N, 0.4), np.full(nc, max(0.01, a))])
+        rounds = np.concatenate([ring % Q, np.arange(nc) % Q])
+        return GraphSchedule.from_cycle(_involutions(N, Q, a, edges, w, rounds), Q, a)
+
+    def on_cycle(w):
+        """a*I plus weight w on the cyclic permutation's entries (i+1, i)."""
+        A = np.diag(np.full(N, a))
+        A[nxt, ring] = w
+        return A
+
+    if family != "birkhoff":  # ring, and round-robin with Q = 1
+        return GraphSchedule.from_cycle([on_cycle(1.0 - a)], Q, a)
 
     # birkhoff: a*I + wc*P_cycle + wr*P_random(k); cycle term keeps every
     # round strongly connected, random term varies the topology
@@ -198,16 +170,14 @@ def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
     wr = 1.0 - a - wc
     if wc < a:
         raise ValueError("birkhoff family needs a <= 1/3 after clipping")
-    eye = np.eye(N)
+    base = on_cycle(wc)
 
     def birkhoff_matrix(k):
-        rng = np.random.default_rng([seed, k])
-        perm = rng.permutation(N)
-        P = np.zeros((N, N))
-        P[perm, np.arange(N)] = 1.0
-        return a * eye + wc * cycle + wr * P
+        A = base.copy()
+        A[np.random.default_rng([seed, k]).permutation(N), ring] += wr
+        return A
 
-    return GraphSchedule(N, Q, a, seed, family, _matrix_fn=birkhoff_matrix)
+    return GraphSchedule(N, Q, a, birkhoff_matrix)
 
 
 @dataclass(frozen=True)
@@ -231,36 +201,31 @@ class ValidationReport:
 
 def validate_schedule(sched, horizon):
     """Check double stochasticity, the weight floor, and Q-window strong
-    connectivity over the given horizon of rounds."""
+    connectivity over the given horizon of rounds, in one pass that keeps
+    the positive-entry masks of the last Q rounds only."""
     if horizon < sched.Q:
         raise ValueError("horizon must cover at least one window")
     max_row = 0.0
     max_col = 0.0
     floor_ok = True
-    mats = [sched.matrix(k) for k in range(horizon)]
-    for A in mats:
+    first_bad = -1
+    window = deque(maxlen=sched.Q)
+    for k in range(horizon):
+        A = sched.matrix(k)
         max_row = max(max_row, float(np.abs(A.sum(axis=1) - 1.0).max()))
         max_col = max(max_col, float(np.abs(A.sum(axis=0) - 1.0).max()))
-        if np.any(np.diag(A) < sched.a):
+        window.append(A > 0)
+        nz = A[window[-1]]
+        if np.any(np.diag(A) < sched.a) or (nz.size and nz.min() < sched.a):
             floor_ok = False
-        nz = A[A > 0]
-        if nz.size and nz.min() < sched.a:
-            floor_ok = False
-    connected = True
-    first_bad = -1
-    for k in range(horizon - sched.Q + 1):
-        union = mats[k] > 0
-        for A in mats[k + 1 : k + sched.Q]:
-            union |= A > 0
-        if not is_strongly_connected(union):
-            connected = False
-            first_bad = k
-            break
+        if first_bad < 0 and k + 1 >= sched.Q:
+            if not is_strongly_connected(reduce(np.logical_or, window)):
+                first_bad = k + 1 - sched.Q
     return ValidationReport(
         horizon=horizon,
         max_row_dev=max_row,
         max_col_dev=max_col,
         floor_ok=floor_ok,
-        windows_connected=connected,
+        windows_connected=first_bad < 0,
         first_bad_window=first_bad,
     )

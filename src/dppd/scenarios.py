@@ -110,6 +110,9 @@ def load_scenario(path):
     if solver not in ("dppd", "csp_sg", "slater", "dualbound"):
         raise ConfigError(f"unknown solver {solver!r}")
     K = _get(cp, "scenario", "K", int, required=True)
+    if solver in ("dppd", "csp_sg") and K < 2:
+        # a trace records rounds k >= 1 only
+        raise ConfigError(f"[scenario] solver {solver} needs K >= 2, got {K}")
     stride = _get(cp, "scenario", "stride", int, default=10)
     seed = _get(cp, "scenario", "seed", int, default=0)
 
@@ -160,13 +163,16 @@ def load_scenario(path):
     if trace_path is None:
         trace_path = f"{name}.csv"
 
-    cfg = DppdConfig(
-        K=K,
-        U0=u0 if u0 is not None else 1.0,  # placeholder when source=dualbound
-        stepsize=stepsize,
-        stride=stride,
-        f_star=f_star,
-    )
+    try:
+        cfg = DppdConfig(
+            K=K,
+            U0=u0 if u0 is not None else 1.0,  # placeholder when source=dualbound
+            stepsize=stepsize,
+            stride=stride,
+            f_star=f_star,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return Scenario(
         name=name,
         solver=solver,

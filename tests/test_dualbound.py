@@ -132,7 +132,7 @@ def _fresh_schedule(N, Q):
         A = np.eye(N) + (rng.random((N, N)) < 0.3)
         return A / A.sum(axis=1, keepdims=True)
 
-    return GraphSchedule(N=N, Q=Q, a=0.0, seed=7, family="fresh", _matrix_fn=matrix)
+    return GraphSchedule(N=N, Q=Q, a=0.0, _matrix_fn=matrix)
 
 
 def _cycle_schedule(N):

@@ -6,7 +6,6 @@ from scipy import optimize
 
 from dppd import (
     Affine,
-    Ball,
     Box,
     DomainError,
     NegLog,
@@ -211,7 +210,6 @@ def test_projection_idempotent_and_nonexpansive():
     rng = np.random.default_rng(5)
     sets = [
         Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0])),
-        Ball(np.array([0.5, -0.5]), 1.2),
         NonnegBall(2.0, dim_=2),
     ]
     for s in sets:
@@ -227,7 +225,6 @@ def test_projection_idempotent_and_nonexpansive():
 
 def test_interval_of_known_sets():
     assert interval_of(Box(np.array([0.0]), np.array([1.0]))) == (0.0, 1.0)
-    assert interval_of(Ball(np.array([1.0]), 2.0)) == (-1.0, 3.0)
     assert interval_of(NonnegBall(3.0, dim_=1)) == (0.0, 3.0)
     assert interval_of(Box(np.zeros(2), np.ones(2))) is None
 

@@ -1,8 +1,10 @@
 """Source hygiene: no module of the package or of its tests imports a name
-it never uses."""
+it never uses, and no module of the package keeps a private helper that the
+package never uses."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -38,3 +40,41 @@ def test_scan_finds_an_unused_import():
 )
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == [], module.name
+
+
+def _names(tree):
+    """Every name a tree reads: bare names, attributes and imported names."""
+    kinds = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return Counter(
+        getattr(n, kinds[type(n)]) for n in ast.walk(tree) if type(n) in kinds
+    )
+
+
+def dead_private_helpers(sources):
+    """(module, name) of each module-level private function or class that no
+    module reads outside the helper's own definition."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = sum((_names(t) for t in trees.values()), Counter())
+    return sorted(
+        (mod, node.name)
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and used[node.name] == _names(node)[node.name]
+    )
+
+
+def test_scan_finds_a_dead_private_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n\n"
+        "class _Lone:\n    pass\n\ndef __dunder__():\n    pass\n",
+        "b.py": "from a import _used\n_used()\n",
+    }
+    assert dead_private_helpers(sources) == [("a.py", "_Lone"), ("a.py", "_dead")]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_private_helpers(sources) == []

@@ -166,6 +166,11 @@ def test_load_scenario_happy_path(tmp_path):
         lambda t: t.replace("solver = dppd", "solver = nope"),
         lambda t: t.replace("builtin = paper_example", "builtin = nope"),
         lambda t: t.replace("family = chorded", "family = nope"),
+        lambda t: t.replace("K = 60", "K = 0"),
+        lambda t: t.replace("K = 60", "K = 1"),  # dppd traces rounds k >= 1
+        lambda t: t.replace("K = 60", "K = 1").replace("solver = dppd", "solver = csp_sg"),
+        lambda t: t.replace("stride = 10", "stride = 0"),
+        lambda t: t.replace("U0 = 5.0", "U0 = -1.0"),
     ],
 )
 def test_load_scenario_config_errors(tmp_path, mangle):
@@ -173,6 +178,14 @@ def test_load_scenario_config_errors(tmp_path, mangle):
     path.write_text(mangle(SCENARIO_TEXT))
     with pytest.raises(ConfigError):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("solver", ["slater", "dualbound"])
+def test_load_scenario_protocol_solvers_accept_one_round(tmp_path, solver):
+    path = tmp_path / "one.ini"
+    text = SCENARIO_TEXT.replace("K = 60", "K = 1")
+    path.write_text(text.replace("solver = dppd", f"solver = {solver}"))
+    assert load_scenario(path).config.K == 1
 
 
 def test_load_scenario_missing_file():
@@ -198,6 +211,14 @@ def test_cli_run_writes_trace_and_summary(tmp_path, monkeypatch, capsys):
     cols = read_trace(tmp_path / "out" / "demo.csv")
     assert cols["k"][-1] == 59
     assert (tmp_path / "out" / "demo.csv.summary.txt").exists()
+
+
+def test_cli_run_rejects_bad_config_before_writing(tmp_path, monkeypatch, capsys):
+    cfgfile = _write_scenario(tmp_path, SCENARIO_TEXT.replace("K = 60", "K = 1"))
+    monkeypatch.setenv("DPPD_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["run", cfgfile]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_comparator_solver(tmp_path, monkeypatch, capsys):
