@@ -3,19 +3,22 @@
 Each round mixes, then takes one projected subgradient step on the local
 Lagrangian in each variable (both steps evaluated at the mixed points).  The
 evaluation metric is sum_i L_i at the per-agent ergodic averages, which is
-the quantity the comparison plots use.  The rounds, the row rule and the
-trace columns are the proximal solver's (`solver._rounds`,
-`solver._TraceBuilder`); only the round itself, the ergodic sums and the
-metric are the comparator's own.  Comparisons against the proximal solver
-are qualitative: the reconstruction matches stepsizes and mixing but not
-any particular published constant choices.
+the quantity the comparison plots use.  The engine choice, the rounds, the
+row rule and the trace columns are the proximal solver's (`solver._start`,
+`solver._rounds`, `solver._TraceBuilder`): a problem that compiles runs its
+rounds on the plan's `sg_step`, bit for bit `csp_sg_round` when n = m = 1
+and every f_i and g_i is one registry term, and the others run
+`csp_sg_round` per agent.  Only the ergodic sums and the metric, evaluated
+per agent on the recorded rows, are the comparator's own.  Comparisons
+against the proximal solver are qualitative: the reconstruction matches
+stepsizes and mixing but not any particular published constant choices.
 """
 
 import numpy as np
 
 from .functions import NonnegBall
 from .graphs import mix
-from .solver import SwarmState, Trace, _check_finite, _rounds, _TraceBuilder, initial_state
+from .solver import SwarmState, Trace, _check_finite, _rounds, _start, _TraceBuilder
 
 __all__ = ["BaselineTrace", "csp_sg_round", "run_csp_sg"]
 
@@ -48,26 +51,40 @@ def csp_sg_round(p, A, state, alpha, U0):
 def run_csp_sg(p, sched, cfg):
     """Run the comparator and trace the ergodic evaluation metric.
 
-    Raises FloatingPointError, naming the round and the first agent, as
-    soon as an iterate is not finite.
+    Rounds run on the compiled plan when the problem compiles, as in `run`,
+    and through csp_sg_round otherwise.  Raises FloatingPointError, naming
+    the round and the first agent, as soon as an iterate is not finite.
     """
-    cur = initial_state(p, cfg.U0)
-    x_sum = np.zeros_like(cur.x)
-    mu_sum = np.zeros_like(cur.mu)
+    N, U0 = p.N, cfg.U0
+    plan, engine, x, mu = _start(p, U0)
+    if plan is not None:
+
+        def step(k, A, x, mu, alpha):
+            return plan.sg_step(A, x, mu, alpha, U0)
+
+    else:
+
+        def step(k, A, x, mu, alpha):
+            new = csp_sg_round(p, A, SwarmState(k, x, mu), alpha, U0)
+            return new.x, new.mu
+
+    x_sum = np.zeros_like(x)
+    mu_sum = np.zeros_like(mu)
     tb = _TraceBuilder(p, cfg)
     for k, alpha, A in _rounds(p, sched, cfg):
-        cur = csp_sg_round(p, A, cur, alpha, cfg.U0)
-        x_sum += cur.x
-        mu_sum += cur.mu
+        x, mu = step(k, A, x, mu, alpha)
+        x_sum += x
+        mu_sum += mu
         # every iterate reaches the running sums
-        _check_finite(k, float(x_sum.sum() + mu_sum.sum()), cur.x, cur.mu)
+        _check_finite(k, float(x_sum.sum() + mu_sum.sum()), x, mu)
         if tb.due(k):
-            x_erg = x_sum / (k + 1)
-            mu_erg = mu_sum / (k + 1)
+            x_erg = x_sum.reshape(N, -1) / (k + 1)
+            mu_erg = mu_sum.reshape(N, -1) / (k + 1)
             metric = sum(
                 p.f[i].value(x_erg[i]) + float(mu_erg[i] @ p.g[i].value(x_erg[i]))
-                for i in range(p.N)
+                for i in range(N)
             )
             xbar, mubar = x_erg.mean(axis=0), mu_erg.mean(axis=0)
-            tb.record(k, alpha, cur.x, cur.mu, xbar, mubar, metric, metric, p.constraint(xbar))
-    return tb.build(BaselineTrace, cur)
+            xs, mus = x.reshape(N, -1), mu.reshape(N, -1)
+            tb.record(k, alpha, xs, mus, xbar, mubar, metric, metric, p.constraint(xbar))
+    return tb.build(BaselineTrace, x, mu, engine)

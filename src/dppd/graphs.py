@@ -94,14 +94,18 @@ def _ring_rounds(N, Q):
 
 def _involutions(N, Q, a, edges, w, rounds):
     """Q matrices, each the identity plus w * (e_ij + e_ji - e_ii - e_jj) for
-    every edge (i, j) of its round.  Where a node's load in some round
-    exceeds 1 - a, every weight is scaled by the one factor that brings the
-    largest load to 1 - a.  Loads and entries accumulate edge by edge, i
-    then j, the order that fixes their bits."""
+    every edge (i, j) of its round.  Raises ValueError where a node's load,
+    the weight of its edges in one round, exceeds 1 - a: its self-loop
+    would fall below the floor.  Entries accumulate edge by edge, i then j,
+    the order that fixes their bits."""
     rounds, ends, w = np.repeat(rounds, 2), edges.ravel(), np.repeat(w, 2)
     load = np.zeros((Q, N))
     np.add.at(load, (rounds, ends), w)
-    w = w * min(1.0, (1.0 - a) / load.max())
+    if load.max() > 1.0 - a:
+        raise ValueError(
+            f"a node's edges weigh {load.max():.6g} in one round, above 1 - a = {1.0 - a:.6g}; "
+            "its self-loop would fall below the floor (raise N or Q, or lower a)"
+        )
     mats = np.zeros((Q, N, N))
     mats[:, np.arange(N), np.arange(N)] = 1.0
     np.add.at(mats, (rounds, ends, ends), -w)
@@ -117,7 +121,9 @@ def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
       round-robin ring transpositions split into Q node-disjoint groups used
                   cyclically; any Q-round window unions to the full ring
       chorded     ring plus two seeded random chord matchings, all edges
-                  split into Q groups used cyclically
+                  split into Q groups used cyclically (raises where a
+                  node's edges in one round weigh more than 1 - a, which
+                  happens only at small N with a floor near 1/N)
       birkhoff    convex combination of I, the cyclic permutation, and a
                   fresh random permutation each round (connected every round)
       complete    uniform averaging matrix 1/N (requires a <= 1/N)
@@ -143,8 +149,7 @@ def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
         return GraphSchedule.from_cycle(mats, Q, a)
     if family == "chorded":
         # the matchings' edges are dealt to the rounds in turn, as the ring's
-        # are; chord weight floored at a, though the load cap can scale it
-        # below
+        # are; chord weight floored at a
         edges = [np.array([ring, nxt]).T]
         for m in range(2):
             perm = np.random.default_rng([seed, m]).permutation(N)

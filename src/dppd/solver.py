@@ -5,19 +5,24 @@ stochastic matrix, takes a proximal step on the local Lagrangian over the
 shared feasible set, then a projected dual step using the fresh primal
 point.
 
-A scalar problem whose agent functions all reduce to quadratic-plus-
-weighted-log composites on an interval is compiled once per run into a
-plan: the per-agent coefficient columns, their sums over agents, and flags
-for the terms that are identically zero, which are left out at compile
-time.  Each round of the vectorized engine is then only the update's array
-arithmetic, in the paper's order (mix, prox, dual projection), and the
-Lagrangian at the averages is a few scalar flops.  Leaving the zero terms
-out changes no bit of the trajectory.  Everything else runs through the
-generic per-agent prox ladder, `dppd_round`, in the same loop.
+A separable problem, one whose set is an interval or a box and whose agent
+functions all flatten to diagonal quadratic plus affine terms (plus a
+weighted log term when n == 1), is compiled once per run into a plan: the
+per-agent coefficient columns, their sums over agents, and flags for the
+terms that are identically zero, which are left out at compile time.  Each
+round of the vectorized engine is then only the update's array arithmetic,
+in the paper's order (mix, prox, dual projection), and the Lagrangian at
+the averages is a few flops.  On n == 1 leaving the zero terms out changes
+no bit of the trajectory; on n >= 2 the prox divides where the per-agent
+path solves I + alpha*P, so the bits move (by about 1e-16).  The plan also
+holds the comparator's round (`_Plan.sg_step`).  Everything else runs
+through the generic per-agent prox ladder, `dppd_round`, in the same loop,
+and the trace records which engine ran and why.
 
-The round iteration (`_rounds`), the trace type (`Trace`) and its builder
-(`_TraceBuilder`, which owns the rule for the recorded rows) are shared with
-the subgradient comparator in `baseline`.
+The engine choice and initial layout (`_start`), the round iteration
+(`_rounds`), the trace type (`Trace`) and its builder (`_TraceBuilder`,
+which owns the rule for the recorded rows) are shared with the subgradient
+comparator in `baseline`.
 """
 
 import math
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .functions import NonnegBall, Scaled, Sum, interval_of
+from .functions import Box, NonnegBall, Scaled, Sum, interval_of
 from .graphs import mix
 from .proxops import (
     ProxQuery,
@@ -96,6 +101,8 @@ class Trace:
     Lagrangian column, the evaluated value with its error |value - f_star|
     (NaN without f_star), and the violation of the summed constraint at
     xbar.  The subclass names the error column that write_trace writes.
+    engine says which engine ran the rounds: "compiled", or "per-agent"
+    with the reason the problem did not compile.
     """
 
     k: np.ndarray
@@ -111,6 +118,7 @@ class Trace:
     stride: int
     f_star: float = None
     final_state: SwarmState = None
+    engine: str = None
 
 
 class RunTrace(Trace):
@@ -172,11 +180,13 @@ def dppd_round(p, A, state, alpha, U0):
 
 
 # ----------------------------------------------------------------------
-# compiled plan for scalar quadratic/log-composite problems
+# compiled plan for separable quadratic/log-composite problems
 
 
-def _poly(hp, q, w, r, x, lx):
-    """hp*x*x + q*x - w*lx + r summed left to right, with lx = log1p(x).
+def _poly(hp, q, w, r, x, lx, coords=False):
+    """hp*x*x + q*x - w*lx + r summed left to right, with lx = log1p(x);
+    with coords, the terms are summed over the last (coordinate) axis
+    before r is added.
 
     A coefficient of None is identically zero and its term is left out.
     That is exact: the term would be a signed zero, and the constant r,
@@ -189,25 +199,44 @@ def _poly(hp, q, w, r, x, lx):
         s = q * x if s is None else s + q * x
     if w is not None:
         s = -(w * lx) if s is None else s - w * lx
-    return r if s is None else s + r
+    if s is None:
+        return r
+    return (s.sum(axis=-1) if coords else s) + r
+
+
+def _slope(p, q, w, x):
+    """p*x + q - w/(1+x), the derivative of _poly's terms, in the order the
+    registry's gradients add them; None coefficients are left out, and
+    all None gives None."""
+    s = None if p is None else p * x
+    if q is not None:
+        s = q if s is None else s + q
+    if w is not None:
+        s = -(w / (1.0 + x)) if s is None else s - w / (1.0 + x)
+    return s
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """A scalar problem compiled once per run for the vectorized round.
+    """A separable problem compiled once per run for the vectorized rounds.
 
-    Agent i has f_i(x) = pf*x^2/2 + qf*x - wf*log(1+x) + rf, and each
-    constraint component g_il the same form with the g columns.  Columns
-    are (N,) for f, and for g when m == 1 (the duals are then an (N,)
-    vector as well); (N, m) otherwise.  A g column that is identically zero
-    is None, and its term is left out of every round.  f_total and g_total
-    hold (P/2, Q, W, R) summed over agents for the Lagrangian at the
-    averages, with W None when it is zero.
+    Agent i has f_i(x) = sum_j (pf_j*x_j^2/2 + qf_j*x_j) - wf*log(1+x) + rf,
+    with the log term for n == 1 only, and each constraint component g_il
+    the same form with the g columns.  The primal iterates are an (N,)
+    vector when n == 1 and (N, n) otherwise; the duals are an (N,) vector
+    when m == 1 and (N, m) otherwise.  The f columns are (N,) or (N, n);
+    the g columns add an m axis after the agents when m > 1.  A g column
+    that is identically zero is None, and its term is left out of every
+    round; f_slope holds pf, qf, wf with the zero ones None likewise.
+    f_total and g_total hold (P/2, Q, W, R) summed over agents for the
+    Lagrangian at the averages, with W None when it is zero.  lo and hi
+    bound every coordinate.
     """
 
+    n: int
     m: int
-    lo: float
-    hi: float
+    lo: float | np.ndarray
+    hi: float | np.ndarray
     pf: np.ndarray
     qf: np.ndarray
     wf: np.ndarray
@@ -216,6 +245,7 @@ class _Plan:
     wg: np.ndarray | None
     hpg: np.ndarray | None  # pg/2
     rg: np.ndarray
+    f_slope: tuple
     f_total: tuple
     g_total: tuple
     p_zero: bool  # pf and pg identically zero: no curvature in any prox
@@ -225,8 +255,24 @@ class _Plan:
         """Per-agent base + sum_l muhat_l * col_l."""
         if col is None:
             return base
+        if self.n > 1:
+            muhat = muhat[..., None]
         t = muhat * col
         return base + (t if self.m == 1 else t.sum(axis=1))
+
+    def _dual_step(self, x, muhat, alpha, U0):
+        """The projected dual step from muhat along g at the points x."""
+        xx = x if self.m == 1 else x[:, None]
+        lx = None if self.wg is None else np.log1p(xx)
+        gv = _poly(self.hpg, self.qg, self.wg, self.rg, xx, lx, self.n > 1)
+        mu_new = np.maximum(muhat + alpha * gv, 0.0)
+        # a one-component dual is nonnegative, so it is its own norm
+        nrm = mu_new if self.m == 1 else np.linalg.norm(mu_new, axis=1)
+        over = nrm > U0
+        if over.any():
+            scale = U0 / nrm[over]
+            mu_new[over] *= scale if self.m == 1 else scale[:, None]
+        return mu_new
 
     def step(self, A, x, mu, alpha, U0):
         """Same update as dppd_round, as array operations over agents:
@@ -260,27 +306,31 @@ class _Plan:
                         1e-12,
                     )
         x_new.clip(self.lo, self.hi, out=x_new)
-        xx = x_new if self.m == 1 else x_new[:, None]
-        lx = None if self.wg is None else np.log1p(xx)
-        gv = _poly(self.hpg, self.qg, self.wg, self.rg, xx, lx)
-        mu_new = np.maximum(muhat + alpha * gv, 0.0)
-        # a one-component dual is nonnegative, so it is its own norm
-        nrm = mu_new if self.m == 1 else np.linalg.norm(mu_new, axis=1)
-        over = nrm > U0
-        if over.any():
-            scale = U0 / nrm[over]
-            mu_new[over] *= scale if self.m == 1 else scale[:, None]
-        return x_new, mu_new
+        return x_new, self._dual_step(x_new, muhat, alpha, U0)
+
+    def sg_step(self, A, x, mu, alpha, U0):
+        """Same update as csp_sg_round, as array operations over agents:
+        mix, then the gradient step from the mixed point clipped to the
+        box, then the projected dual step at the mixed point."""
+        xhat = A @ x
+        muhat = A @ mu
+        xx = xhat if self.m == 1 else xhat[:, None]
+        g_slope = _slope(self.pg, self.qg, self.wg, xx)
+        grad = self._with_duals(_slope(*self.f_slope, xhat), g_slope, muhat)
+        x_new = xhat - alpha * grad
+        x_new.clip(self.lo, self.hi, out=x_new)
+        return x_new, self._dual_step(xhat, muhat, alpha, U0)
 
     def at_averages(self, x, mu):
         """(Lagrangian, summed constraint) at the agent averages x, mu."""
         lx = None
         if self.f_total[2] is not None or self.g_total[2] is not None:
             lx = np.log1p(x)
-        g_tot = _poly(*self.g_total, x, lx)
+        coords = self.n > 1
+        g_tot = _poly(*self.g_total, x, lx, coords)
         # the same bits as a one-term dot, which adds the product to +0.0
         dual = mu * g_tot + 0.0 if self.m == 1 else float(mu @ g_tot)
-        return float(_poly(*self.f_total, x, lx)) + dual, g_tot
+        return float(_poly(*self.f_total, x, lx, coords)) + dual, g_tot
 
 
 def _quad_prox(xhat, p, q, alpha):
@@ -291,35 +341,52 @@ def _quad_prox(xhat, p, q, alpha):
 
 
 def compile_plan(p):
-    """The vectorized engine's plan for p, or None if p is not scalar, its
-    set is not an interval, or some agent function falls outside the
-    quadratic/log registry."""
-    iv = interval_of(p.X0)
-    if p.n != 1 or iv is None:
-        return None
-    m = p.m
-    rows = []
-    for fi, gi in zip(p.f, p.g):
-        flats = [flatten_composite(fn) for fn in (fi, *gi.components)]
-        if any(flat is None for flat in flats):
-            return None
-        rows.append([(P[0, 0], q[0], r, w) for P, q, r, w in flats])
-    c = np.array(rows)  # (N, 1 + m, 4): P, q, r, w of f_i, then of each g_il
-    pf, qf, rf, wf = np.ascontiguousarray(c[:, 0].T)
-    pg, qg, rg, wg = np.ascontiguousarray(c[:, 1:].transpose(2, 0, 1))
-    if iv[0] <= -1.0 and (np.any(wf != 0) or np.any(wg != 0)):
-        return None
+    """(plan, None) with the vectorized engine's plan for p, or (None, why)
+    when p does not compile, why naming the set, or the first agent and
+    term, that does not flatten.
 
-    W = float(wf.sum())
-    f_total = (
-        0.5 * float(pf.sum()),
-        float(qf.sum()),
-        W if W != 0.0 else None,
-        float(rf.sum()),
-    )
+    p compiles when its set is an interval (n == 1) or a box, and every
+    f_i and g_il flattens to a diagonal quadratic plus affine terms, plus a
+    -w*log(1+x) term when n == 1.  Clipping each coordinate is then the
+    exact projection of every step.
+    """
+    N, n, m = p.N, p.n, p.m
+    if n == 1:
+        iv = interval_of(p.X0)
+    else:
+        iv = (p.X0.lo, p.X0.hi) if isinstance(p.X0, Box) else None
+    if iv is None:
+        return None, f"the set is a {type(p.X0).__name__}, not {'an interval' if n == 1 else 'a box'}"
+    terms = []
+    for i, (fi, gi) in enumerate(zip(p.f, p.g)):
+        for label, fn in (("f", fi), *((f"g[{l}]", c) for l, c in enumerate(gi.components))):
+            flat = flatten_composite(fn)
+            if flat is None:
+                kinds = "quadratic, affine and log" if n == 1 else "quadratic and affine"
+                return None, f"agent {i}: {label} is not a sum of {kinds} terms"
+            P, q, r, w = flat
+            d = np.diag(P)
+            if n > 1 and np.any(P - np.diag(d)):
+                return None, f"agent {i}: {label} has a non-diagonal quadratic"
+            terms.append((d, q, r, w))
+    # per agent, f_i then each g_il; a coordinate axis only when n > 1
+    d, q, r, w = (np.array(a) for a in zip(*terms))
+    d, q = (a.reshape((N, 1 + m) + ((n,) if n > 1 else ())) for a in (d, q))
+    r, w = (a.reshape(N, 1 + m) for a in (r, w))
+    pf, qf, rf, wf = (np.ascontiguousarray(a[:, 0]) for a in (d, q, r, w))
+    pg, qg, rg, wg = (np.ascontiguousarray(a[:, 1:]) for a in (d, q, r, w))
+    if (np.any(wf) or np.any(wg)) and iv[0] <= -1.0:
+        return None, "the set reaches x = -1, outside the log terms' domain"
+
+    def total(a):
+        s = a.sum(axis=0)
+        return float(s) if s.ndim == 0 else s
+
+    W = total(wf)
+    f_total = (0.5 * total(pf), total(qf), W if W != 0.0 else None, total(rf))
     Pg, Qg, Wg, Rg = (a.sum(axis=0) for a in (pg, qg, wg, rg))
     if m == 1:
-        Pg, Qg, Wg, Rg = (float(a[0]) for a in (Pg, Qg, Wg, Rg))
+        Pg, Qg, Wg, Rg = (a[0] if a.ndim > 1 else float(a[0]) for a in (Pg, Qg, Wg, Rg))
     g_total = (0.5 * Pg, Qg, None if np.all(Wg == 0.0) else Wg, Rg)
 
     def column(a):
@@ -329,6 +396,7 @@ def compile_plan(p):
 
     pg, qg, wg = column(pg), column(qg), column(wg)
     return _Plan(
+        n=n,
         m=m,
         lo=iv[0],
         hi=iv[1],
@@ -340,11 +408,25 @@ def compile_plan(p):
         wg=wg,
         hpg=None if pg is None else 0.5 * pg,
         rg=rg[:, 0].copy() if m == 1 else rg,
+        f_slope=(pf if np.any(pf) else None, qf, wf if np.any(wf) else None),
         f_total=f_total,
         g_total=g_total,
         p_zero=not np.any(pf) and pg is None,
         w_zero=not np.any(wf) and wg is None,
-    )
+    ), None
+
+
+def _start(p, U0):
+    """(plan, engine, x, mu): the compiled plan, or None for the per-agent
+    rounds; the engine as the trace records it; and the initial iterates in
+    the engine's layout."""
+    state = initial_state(p, U0)
+    plan, why = compile_plan(p)
+    if plan is None:
+        return None, f"per-agent ({why})", state.x, state.mu
+    x = state.x[:, 0].copy() if p.n == 1 else state.x
+    mu = state.mu[:, 0].copy() if p.m == 1 else state.mu
+    return plan, "compiled", x, mu
 
 
 # ----------------------------------------------------------------------
@@ -384,8 +466,10 @@ class _TraceBuilder:
             (k, alpha, xbar, mubar, _spread(x), _spread(mu), lagrangian, err, viol, value)
         )
 
-    def build(self, kind, final_state):
+    def build(self, kind, x, mu, engine):
+        """The trace, its final state the round-K iterates x, mu."""
         k, alpha, xbar, mubar, *rest = list(zip(*self.rows)) or [()] * 10
+        N = x.shape[0]
         return kind(
             np.array(k, dtype=int),
             np.array(alpha, dtype=float),
@@ -394,7 +478,8 @@ class _TraceBuilder:
             *(np.array(c, dtype=float) for c in rest),
             stride=self.cfg.stride,
             f_star=self.cfg.f_star,
-            final_state=final_state,
+            final_state=SwarmState(self.cfg.K, x.reshape(N, -1).copy(), mu.reshape(N, -1).copy()),
+            engine=engine,
         )
 
 
@@ -423,19 +508,15 @@ def run(p, sched, cfg):
     iterate is not finite.
     """
     N, U0 = p.N, cfg.U0
-    state = initial_state(p, U0)
-    plan = compile_plan(p)
+    plan, engine, x, mu = _start(p, U0)
     if plan is not None:
-        # scalar iterates, with (N,) duals when m == 1
-        x = state.x[:, 0].copy()
-        mu = state.mu[:, 0].copy() if plan.m == 1 else state.mu.copy()
 
         def step(k, A, x, mu, alpha):
             x, mu = plan.step(A, x, mu, alpha, U0)
-            return x, mu, *plan.at_averages(float(x.sum() / N), mu.sum(axis=0) / N)
+            xbar = float(x.sum() / N) if plan.n == 1 else x.sum(axis=0) / N
+            return x, mu, *plan.at_averages(xbar, mu.sum(axis=0) / N)
 
     else:
-        x, mu = state.x, state.mu
 
         def step(k, A, x, mu, alpha):
             new = dppd_round(p, A, SwarmState(k, x, mu), alpha, U0)
@@ -453,7 +534,7 @@ def run(p, sched, cfg):
         if tb.due(k):
             xs, mus = x.reshape(N, -1), mu.reshape(N, -1)
             tb.record(k, alpha, xs, mus, xs.mean(axis=0), mus.mean(axis=0), lag, lag_sum / k, g_tot)
-    return tb.build(RunTrace, SwarmState(cfg.K, x.reshape(N, -1).copy(), mu.reshape(N, -1).copy()))
+    return tb.build(RunTrace, x, mu, engine)
 
 
 def running_eval_error(trace, f_star):

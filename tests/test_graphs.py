@@ -51,6 +51,22 @@ def test_benchmark_windows_exist_for_q2_and_q50():
         assert rep.ok, rep
 
 
+def _chorded_peak_load(N, Q, a, seed):
+    """Largest per-round node load of the reference's chorded edges (ring
+    edges, then both matchings' chords), accumulated in the reference's
+    order so that its bits are the reference's."""
+    load = np.zeros((Q, N))
+    edges = [(i, (i + 1) % N, 0.4, i % Q) for i in range(N)]
+    for m in range(2):
+        perm = np.random.default_rng([seed, m]).permutation(N)
+        c0 = len(edges) - N
+        edges += [(perm[2 * j], perm[2 * j + 1], max(0.01, a), (c0 + j) % Q) for j in range(N // 2)]
+    for i, j, w, r in edges:
+        load[r, i] += w
+        load[r, j] += w
+    return load.max()
+
+
 @given(
     family=st.sampled_from(FAMILIES),
     N=st.integers(1, 40),
@@ -61,6 +77,8 @@ def test_benchmark_windows_exist_for_q2_and_q50():
 @example(family="round-robin", N=3, Q=2, a=0.1, seed=0)  # ring cannot be split
 @example(family="birkhoff", N=2, Q=1, a=0.5, seed=0)  # floor above 1/3
 @example(family="complete", N=4, Q=1, a=0.5, seed=0)  # floor above 1/N
+@example(family="chorded", N=6, Q=1, a=0.5, seed=0)  # load above 1 - a
+@example(family="chorded", N=2, Q=2, a=1 / 3, seed=0)  # load above 1 - a
 @settings(max_examples=400)
 def test_builder_matches_reference_bit_for_bit(family, N, Q, a, seed):
     try:
@@ -70,23 +88,25 @@ def test_builder_matches_reference_bit_for_bit(family, N, Q, a, seed):
             make_schedule(N=N, Q=Q, a=a, seed=seed, family=family)
         assert str(got.value) == str(exc)
         return
+    # where a chorded node's load exceeds 1 - a the reference scales every
+    # weight down, and the chords fall below the floor; the builder refuses
+    cap_binds = family == "chorded" and N > 1 and _chorded_peak_load(N, Q, ref.a, seed) > 1.0 - ref.a
+    if cap_binds:
+        with pytest.raises(ValueError, match="self-loop would fall below the floor"):
+            make_schedule(N=N, Q=Q, a=a, seed=seed, family=family)
+        return
     s = make_schedule(N=N, Q=Q, a=a, seed=seed, family=family)
     assert (s.N, s.Q, s.a) == (ref.N, ref.Q, ref.a)
-    # a chorded node's load is at most 0.8 + 2 * chord weight; where that
-    # exceeds 1 - a the load cap scales the chords below the floor (see
-    # test_chorded_floor_holds_where_load_cap_binds)
-    cap_binds = family == "chorded" and 0.8 + 2 * max(0.01, s.a) > 1.0 - s.a
     horizon = 2 * Q + 3
     mats = [s.matrix(k) for k in range(horizon)]
     for k, A in enumerate(mats):
         assert np.array_equal(A.view(np.uint64), ref.matrix(k).view(np.uint64)), k
         assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(A.sum(axis=1) - 1.0).max() <= 1e-12
-        if not cap_binds:
-            # where a load meets 1 - a, the diagonal 1 - sum(w) rounds to
-            # a few ulps around a
-            assert np.diag(A).min() >= s.a - 1e-15
-            assert A[A > 0].min() >= s.a - 1e-15
+        # where a load meets 1 - a, the diagonal 1 - sum(w) rounds to a few
+        # ulps around a
+        assert np.diag(A).min() >= s.a - 1e-15
+        assert A[A > 0].min() >= s.a - 1e-15
     for k in range(horizon - Q + 1):
         assert is_strongly_connected(sum(mats[k : k + Q])), k
     assert validate_schedule(s, horizon) == graphs_reference.validate_schedule(ref, horizon)
@@ -127,12 +147,14 @@ def test_double_stochasticity_and_floor(family):
         assert nz.min() >= s.a - 1e-15
 
 
-@pytest.mark.xfail(strict=True, reason="chorded's load cap scales chords below the floor")
 def test_chorded_floor_holds_where_load_cap_binds():
     # N=6 clips the floor to 1/6; each node's load 0.8 + 2/6 exceeds 5/6,
-    # and the capped chord weight 1/6 * (5/6) / (0.8 + 2/6) is below 1/6
-    s = make_schedule(N=6, Q=1, a=0.5, seed=0, family="chorded")
-    assert validate_schedule(s, 1).floor_ok
+    # so every self-loop would fall below 1/6: the builder refuses rather
+    # than scale the chords below the floor
+    with pytest.raises(ValueError, match="above 1 - a = 0.833333"):
+        make_schedule(N=6, Q=1, a=0.5, seed=0, family="chorded")
+    # the same N and floor spread over Q = 2 rounds stay under the cap
+    assert validate_schedule(make_schedule(N=6, Q=2, a=0.5, seed=0, family="chorded"), 2).ok
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,5 +1,7 @@
 """Solver rounds, traces, stepsizes, and run-level invariants."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,10 @@ from dppd import (
     run_csp_sg,
     running_eval_error,
 )
+from dppd.baseline import csp_sg_round
 from dppd.functions import constant
 from dppd.proxops import ProxQuery
-from dppd.solver import SwarmState, compile_plan, initial_state
+from dppd.solver import SwarmState, _start, compile_plan, initial_state
 
 
 # ----------------------------------------------------------------- stepsizes
@@ -168,8 +171,8 @@ def test_round_rejects_nonpositive_stepsize(paper_problem):
 def test_vectorized_engine_matches_generic_rounds(paper_problem):
     # the array engine and the per-agent prox ladder must agree step by step
     p = paper_problem
-    plan = compile_plan(p)
-    assert plan is not None
+    plan, why = compile_plan(p)
+    assert plan is not None, why
     s = make_schedule(N=100, Q=2, a=0.1, seed=1, family="chorded")
 
     state = initial_state(p, 10.0)
@@ -195,25 +198,28 @@ _coef = st.floats(-1.5, 1.5)
 _weight = st.floats(0.1, 1.5)
 
 
-def _leaf(quadratic, log):
-    leaves = [st.builds(lambda c, r: Affine(np.array([c]), r), _coef, _coef)]
+def _leaf(quadratic, log, n=1):
+    """Affine, diagonal Quadratic and (n = 1 only) NegLog terms on R^n."""
+
+    def vec(elements):
+        if n == 1:
+            return elements.map(lambda v: np.array([v]))
+        return st.lists(elements, min_size=n, max_size=n).map(np.array)
+
+    leaves = [st.builds(Affine, vec(_coef), _coef)]
     if quadratic:
         leaves.append(
-            st.builds(
-                lambda P, q, r: Quadratic(np.array([[P]]), np.array([q]), r),
-                _weight,
-                _coef,
-                _coef,
-            )
+            st.builds(lambda P, q, r: Quadratic(np.diag(P), q, r), vec(_weight), vec(_coef), _coef)
         )
     if log:
         leaves.append(st.builds(NegLog, _weight, _coef))
     return st.one_of(leaves)
 
 
-def _composite(quadratic, log):
+@functools.cache  # built once: hypothesis validates every new strategy object
+def _composite(quadratic, log, n=1):
     return st.recursive(
-        _leaf(quadratic, log),
+        _leaf(quadratic, log, n),
         lambda inner: st.one_of(
             st.builds(Scaled, inner, st.floats(0.0, 1.5)),
             st.builds(lambda ts: Sum(tuple(ts)), st.lists(inner, min_size=1, max_size=3)),
@@ -258,6 +264,32 @@ def _scalar_problems(draw, mode):
     return Problem(f=tuple(f), g=tuple(g), X0=Box(np.array([lo]), np.array([hi])))
 
 
+def _check_compiled_rounds(p, U0, ss, bitwise=()):
+    """Six rounds of each compiled step against its per-agent reference,
+    both from the initial state: plan.step against dppd_round ("prox") and
+    plan.sg_step against csp_sg_round ("sg").  The methods named in bitwise
+    must agree bit for bit, the others within 1e-9."""
+    plan, engine, x0, mu0 = _start(p, U0)
+    assert engine == "compiled"
+    s = make_schedule(N=p.N, Q=1, a=0.3, seed=0, family="ring")
+    for method, compiled, reference in (
+        ("prox", plan.step, dppd_round),
+        ("sg", plan.sg_step, csp_sg_round),
+    ):
+        cur, x, mu = initial_state(p, U0), x0, mu0
+        for k in range(6):
+            A = s.matrix(k)
+            alpha = ss.alpha(k)
+            x, mu = compiled(A, x, mu, alpha, U0)
+            cur = reference(p, A, cur, alpha, U0)
+            got = (x.reshape(cur.x.shape), mu.reshape(cur.mu.shape))
+            for name, a, b in zip("x mu".split(), got, (cur.x, cur.mu)):
+                if method in bitwise:
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (method, k, name)
+                else:
+                    assert a == pytest.approx(b, abs=1e-9), (method, k, name)
+
+
 @pytest.mark.parametrize("mode", sorted(_MODES))
 @settings(max_examples=25)
 @given(data=st.data())
@@ -265,19 +297,47 @@ def test_compiled_engine_matches_generic_rounds_property(mode, data):
     p = data.draw(_scalar_problems(mode), label="problem")
     U0 = data.draw(st.floats(0.2, 3.0), label="U0")
     ss = StepsizeSchedule(alpha0=data.draw(st.floats(0.1, 3.0), label="alpha0"))
-    plan = compile_plan(p)
-    assert plan is not None
-    s = make_schedule(N=p.N, Q=1, a=0.3, seed=0, family="ring")
-    cur = initial_state(p, U0)
-    x = cur.x[:, 0].copy()
-    mu = cur.mu[:, 0].copy() if p.m == 1 else cur.mu.copy()
-    for k in range(6):
-        A = s.matrix(k)
-        alpha = ss.alpha(k)
-        x, mu = plan.step(A, x, mu, alpha, U0)
-        cur = dppd_round(p, A, cur, alpha, U0)
-        assert cur.x[:, 0] == pytest.approx(x, abs=1e-9)
-        assert cur.mu == pytest.approx(mu.reshape(cur.mu.shape), abs=1e-9)
+    _check_compiled_rounds(p, U0, ss)
+
+
+@st.composite
+def _separable_problems(draw, n_values=(1, 2, 3), m_values=(1, 2), composite=True):
+    """Diagonal quadratic and affine terms (under Scaled and Sum when
+    composite) on a box narrow enough that clipping binds."""
+    n = draw(st.sampled_from(n_values))
+    m = draw(st.sampled_from(m_values))
+    N = draw(st.integers(1, 4))
+    terms = _composite(True, False, n) if composite else _leaf(True, n == 1, n)
+    vec = st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n).map(np.array)
+    lo = draw(vec)
+    hi = lo + draw(st.lists(st.floats(0.05, 0.5), min_size=n, max_size=n).map(np.array))
+    f = tuple(draw(terms) for _ in range(N))
+    g = tuple(VectorConstraint(tuple(draw(terms) for _ in range(m))) for _ in range(N))
+    return Problem(f=f, g=g, X0=Box(lo, hi))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_compiled_steps_match_reference_rounds_separable(data):
+    # n >= 2 replaces the solve of I + alpha*P by a division and sums g over
+    # the coordinates in another order, so the bits move; a small U0 makes
+    # the dual projection bind
+    p = data.draw(_separable_problems(), label="problem")
+    U0 = data.draw(st.floats(0.05, 0.5), label="U0")
+    ss = StepsizeSchedule(alpha0=data.draw(st.floats(0.1, 3.0), label="alpha0"))
+    _check_compiled_rounds(p, U0, ss)
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_compiled_comparator_step_is_bitwise_on_single_terms(data):
+    # n = m = 1 with each f_i and g_i one registry term, as on the paper
+    # instance and the 1-D suite instances: the same IEEE operations in the
+    # same order as csp_sg_round
+    p = data.draw(_separable_problems((1,), (1,), composite=False), label="problem")
+    U0 = data.draw(st.floats(0.05, 3.0), label="U0")
+    ss = StepsizeSchedule(alpha0=data.draw(st.floats(0.1, 3.0), label="alpha0"))
+    _check_compiled_rounds(p, U0, ss, bitwise=("sg",))
 
 
 def test_quadratic_unconstrained_run_converges():
@@ -380,6 +440,7 @@ def test_schedule_size_mismatch_rejected():
     "engine, error",
     [
         ("compiled", FloatingPointError),
+        ("compiled-2d", FloatingPointError),
         ("generic", RuntimeError),
         ("comparator", FloatingPointError),
     ],
@@ -387,24 +448,61 @@ def test_schedule_size_mismatch_rejected():
 def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
     # a NaN weight in agent 2's row reaches its iterates in round 0; the box
     # keeps x away from 0 so the NaN is not multiplied by an exact zero.  The
-    # compiled engine catches it at the averages; the generic prox rejects
-    # the NaN anchor first; the comparator catches it in its ergodic sums.
+    # compiled engine catches it at the averages; the generic prox (a
+    # non-diagonal P does not compile) rejects the NaN anchor first; the
+    # comparator catches it in its ergodic sums.
     N = 4
     A = np.full((N, N), 1.0 / N)
     A[2, 1] = np.nan
     sched = dppd.GraphSchedule.from_cycle([A])
-    if engine == "generic":
+    if engine in ("generic", "compiled-2d"):
+        # f_i is smallest at (0.6, 0.6), so agents 0 and 1 step inside the
+        # box, where the generic prox needs no projection
+        P = np.array([[1.0, 0.5], [0.5, 1.0]]) if engine == "generic" else np.eye(2)
         p = Problem(
-            f=tuple(Quadratic(np.eye(2), np.ones(2)) for _ in range(N)),
+            f=tuple(Quadratic(P, -P @ np.full(2, 0.6)) for _ in range(N)),
             g=tuple(VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N)),
             X0=Box(np.full(2, 0.25), np.ones(2)),
         )
     else:
         p = dppd.build_paper_example(N=N, b=0.2, lo=0.25, hi=1.0)
-    assert (compile_plan(p) is None) == (engine == "generic")
+    assert (compile_plan(p)[0] is None) == (engine == "generic")
     solve = run_csp_sg if engine == "comparator" else run
     with pytest.raises(error, match="agent 2 in round 0"):
         solve(p, sched, DppdConfig(K=5, U0=1.0))
+
+
+def _two_dim_problem(N=3, P=np.eye(2), X0=Box(np.full(2, -1.0), np.ones(2)), log_agent=None):
+    f = [Quadratic(P, np.ones(2)) for _ in range(N)]
+    g = [VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N)]
+    if log_agent is not None:
+        g[log_agent] = VectorConstraint((Sum((Affine(np.ones(2), -1.0), NegLog(0.5))),))
+    return Problem(f=tuple(f), g=tuple(g), X0=X0)
+
+
+@pytest.mark.parametrize(
+    "problem, why",
+    [
+        (
+            _two_dim_problem(P=np.array([[1.0, 0.5], [0.5, 1.0]])),
+            "agent 0: f has a non-diagonal quadratic",
+        ),
+        (_two_dim_problem(X0=NonnegBall(1.0, dim_=2)), "the set is a NonnegBall, not a box"),
+        (_two_dim_problem(log_agent=2), "agent 2: g[0] is not a sum of quadratic and affine terms"),
+    ],
+    ids=["non-diagonal", "ball", "log"],
+)
+def test_compile_plan_declines_what_does_not_flatten(problem, why):
+    assert compile_plan(problem) == (None, why)
+
+
+@pytest.mark.parametrize("solve", [run, run_csp_sg])
+def test_trace_records_engine_and_reason(solve):
+    cfg = DppdConfig(K=3, U0=1.0)
+    s = make_schedule(N=3, Q=1, a=0.3, seed=0, family="ring")
+    assert solve(_two_dim_problem(), s, cfg).engine == "compiled"
+    skew = _two_dim_problem(P=np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert solve(skew, s, cfg).engine == "per-agent (agent 0: f has a non-diagonal quadratic)"
 
 
 # --------------------------------------------------------- error + rate fit
