@@ -94,22 +94,24 @@ def _ring_rounds(N, Q):
 
 def _involutions(N, Q, a, edges, w, rounds):
     """Q matrices, each the identity plus w * (e_ij + e_ji - e_ii - e_jj) for
-    every edge (i, j) of its round.  Raises ValueError where a node's load,
-    the weight of its edges in one round, exceeds 1 - a: its self-loop
-    would fall below the floor.  Entries accumulate edge by edge, i then j,
-    the order that fixes their bits."""
+    every edge (i, j) of its round.  Raises ValueError where a built entry
+    falls below the floor a, which only a self-loop can: a node's edges
+    weigh 1 - a or more in one round.  Entries accumulate edge by edge, i
+    then j, the order that fixes their bits."""
     rounds, ends, w = np.repeat(rounds, 2), edges.ravel(), np.repeat(w, 2)
-    load = np.zeros((Q, N))
-    np.add.at(load, (rounds, ends), w)
-    if load.max() > 1.0 - a:
-        raise ValueError(
-            f"a node's edges weigh {load.max():.6g} in one round, above 1 - a = {1.0 - a:.6g}; "
-            "its self-loop would fall below the floor (raise N or Q, or lower a)"
-        )
+    touched = (rounds, ends, edges[:, ::-1].ravel())
     mats = np.zeros((Q, N, N))
-    mats[:, np.arange(N), np.arange(N)] = 1.0
+    diag = (slice(None), np.arange(N), np.arange(N))
+    mats[diag] = 1.0
     np.add.at(mats, (rounds, ends, ends), -w)
-    np.add.at(mats, (rounds, ends, edges[:, ::-1].ravel()), w)
+    np.add.at(mats, touched, w)
+    # the off-diagonal entries that edges touch are the positive ones
+    low = min(mats[diag].min(), mats[touched].min())
+    if low < a:
+        raise ValueError(
+            f"a self-loop falls to {float(low)!r}, below the floor a = {a:.6g}: a node's edges "
+            f"weigh at or above 1 - a = {1.0 - a:.6g} in one round (raise N or Q, or lower a)"
+        )
     return list(mats)
 
 
@@ -122,8 +124,9 @@ def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
                   cyclically; any Q-round window unions to the full ring
       chorded     ring plus two seeded random chord matchings, all edges
                   split into Q groups used cyclically (raises where a
-                  node's edges in one round weigh more than 1 - a, which
-                  happens only at small N with a floor near 1/N)
+                  self-loop falls below the floor, a node's edges in one
+                  round weighing 1 - a or more, which happens only at
+                  small N with a floor near 1/N)
       birkhoff    convex combination of I, the cyclic permutation, and a
                   fresh random permutation each round (connected every round)
       complete    uniform averaging matrix 1/N (requires a <= 1/N)

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functions import interval_of
+
 __all__ = ["ReferenceSolution", "solve_example_family", "brute_force_saddle"]
 
 
@@ -53,11 +55,12 @@ def brute_force_saddle(p, U0, resolution=1e-4, mu_resolution=None, tol=None):
     """Grid min-max of the Lagrangian over X0 x [0, U0] for 1-D/1-D problems.
 
     Returns the minimax point with a duality-gap estimate (minimax minus
-    maximin on the grid); raises if the gap exceeds the requested tolerance.
-    Ties break toward the lowest grid index.
+    maximin on the grid); raises if the gap exceeds the requested tolerance
+    or if f or g is not finite at a grid point.  The maximin is one
+    streaming pass over the x grid that keeps a running minimum per mu, so
+    memory is O(nx + nmu).  Ties break toward the lowest grid index, the
+    first one argmin / argmax return.
     """
-    from .functions import interval_of
-
     if p.n != 1 or p.m != 1:
         raise ValueError("grid oracle is restricted to 1-D primal and dual")
     iv = interval_of(p.X0)
@@ -70,23 +73,19 @@ def brute_force_saddle(p, U0, resolution=1e-4, mu_resolution=None, tol=None):
     mus = np.linspace(0.0, U0, max(2, int(round(U0 / mu_resolution)) + 1))
     fvals = np.array([p.objective(np.array([x])) for x in xs])
     gvals = np.array([p.constraint(np.array([x]))[0] for x in xs])
+    bad = ~(np.isfinite(fvals) & np.isfinite(gvals))
+    if bad.any():
+        x = float(xs[np.argmax(bad)])
+        raise ValueError(f"f or g is not finite at grid point x = {x!r}")
     # L(x_i, mu_j) = f(x_i) + mu_j * g(x_i); linear in mu, so the inner max
     # over the mu grid is attained at an endpoint
     inner_max = np.maximum(fvals, fvals + U0 * gvals)
     ix = int(np.argmin(inner_max))
-    # inner min over x per mu, in chunks to bound memory
-    maximin = -np.inf
-    jmu = 0
-    chunk = max(1, int(2e7 // max(1, xs.size)))
-    for start in range(0, mus.size, chunk):
-        mu_chunk = mus[start : start + chunk]
-        inner_min = (fvals[:, None] + gvals[:, None] * mu_chunk[None, :]).min(axis=0)
-        j_local = int(np.argmax(inner_min))
-        if inner_min[j_local] > maximin:
-            maximin = float(inner_min[j_local])
-            jmu = start + j_local
-    minimax = float(inner_max[ix])
-    gap = minimax - maximin
+    inner_min = np.full(mus.size, np.inf)
+    for f, g in zip(fvals, gvals):
+        np.minimum(inner_min, f + g * mus, out=inner_min)
+    jmu = int(np.argmax(inner_min))
+    gap = float(inner_max[ix]) - float(inner_min[jmu])
     if tol is not None and gap > tol:
         raise ValueError(f"duality-gap estimate {gap:.3g} exceeds tolerance {tol:.3g}")
     return ReferenceSolution(

@@ -1,7 +1,8 @@
 """Proximal subproblem solvers for the per-agent primal update.
 
 Strategy ladder: closed form for quadratic composites and for scalar
-affine-plus-weighted-log composites, derivative bisection for other scalar
+affine-plus-weighted-log composites, bounded-variable least squares for a
+non-separable quadratic on a box, derivative bisection for other scalar
 convex objectives (the penalty makes the derivative strictly increasing),
 and an explicit error for unsupported shapes.  The dual update needs no
 solver: it is the projection of the ascent point onto the dual set, which
@@ -11,6 +12,8 @@ the round takes with ``NonnegBall.project``.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.optimize import lsq_linear
 
 from .functions import Affine, Box, NegLog, Quadratic, Scaled, Sum, interval_of
 
@@ -56,6 +59,19 @@ def prox_quadratic(P, q, v, alpha):
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n = v.shape[0]
     return np.linalg.solve(np.eye(n) + alpha * P, v - alpha * q)
+
+
+def _box_qp(P, q, v, alpha, box):
+    """Exact minimizer of x.P.x/2 + q.x + ||x-v||^2/(2*alpha) over a box.
+
+    Times alpha, the objective is x.H.x/2 - b.x with H = I + alpha*P = L L^T
+    and b = v - alpha*q, which is ||L^T x - L^{-1} b||^2/2 up to a constant:
+    a bounded least-squares problem that BVLS solves by active sets.  The
+    clip only takes back the last-ulp overshoot of a bound.
+    """
+    L = np.linalg.cholesky(np.eye(v.shape[0]) + alpha * P)
+    y = solve_triangular(L, v - alpha * q, lower=True)
+    return box.project(lsq_linear(L.T, y, bounds=(box.lo, box.hi), method="bvls").x)
 
 
 def flatten_composite(f):
@@ -148,9 +164,11 @@ def prox_solve(qy, tol=1e-10):
             x_u = prox_quadratic(P, q, v, alpha)
             if s.contains(x_u):
                 return x_u
-            if isinstance(s, Box) and (n == 1 or not np.any(P - np.diag(np.diag(P)))):
-                # separable quadratic: clamping each coordinate is exact
-                return s.project(x_u)
+            if isinstance(s, Box):
+                if n == 1 or not np.any(P - np.diag(np.diag(P))):
+                    # separable quadratic: clamping each coordinate is exact
+                    return s.project(x_u)
+                return _box_qp(P, q, v, alpha, s)
             iv = interval_of(s)
             if iv is not None:
                 return np.array([np.clip(x_u[0], iv[0], iv[1])])

@@ -51,20 +51,23 @@ def test_benchmark_windows_exist_for_q2_and_q50():
         assert rep.ok, rep
 
 
-def _chorded_peak_load(N, Q, a, seed):
-    """Largest per-round node load of the reference's chorded edges (ring
-    edges, then both matchings' chords), accumulated in the reference's
-    order so that its bits are the reference's."""
-    load = np.zeros((Q, N))
+def _chorded_lowest_entry(N, Q, a, seed):
+    """Lowest self-loop or positive entry of the chorded round matrices with
+    no load cap: the reference's edges (ring edges, then both matchings'
+    chords) accumulated in the reference's order, so that every entry has
+    the bits the builder gives it."""
+    mats = np.array([np.eye(N) for _ in range(Q)])
     edges = [(i, (i + 1) % N, 0.4, i % Q) for i in range(N)]
     for m in range(2):
         perm = np.random.default_rng([seed, m]).permutation(N)
         c0 = len(edges) - N
         edges += [(perm[2 * j], perm[2 * j + 1], max(0.01, a), (c0 + j) % Q) for j in range(N // 2)]
     for i, j, w, r in edges:
-        load[r, i] += w
-        load[r, j] += w
-    return load.max()
+        mats[r, i, i] -= w
+        mats[r, j, j] -= w
+        mats[r, i, j] += w
+        mats[r, j, i] += w
+    return min(np.diagonal(mats, axis1=1, axis2=2).min(), mats[mats > 0].min())
 
 
 @given(
@@ -79,6 +82,7 @@ def _chorded_peak_load(N, Q, a, seed):
 @example(family="complete", N=4, Q=1, a=0.5, seed=0)  # floor above 1/N
 @example(family="chorded", N=6, Q=1, a=0.5, seed=0)  # load above 1 - a
 @example(family="chorded", N=2, Q=2, a=1 / 3, seed=0)  # load above 1 - a
+@example(family="chorded", N=3, Q=2, a=0.1, seed=0)  # load meets 1 - a
 @settings(max_examples=400)
 def test_builder_matches_reference_bit_for_bit(family, N, Q, a, seed):
     try:
@@ -89,10 +93,11 @@ def test_builder_matches_reference_bit_for_bit(family, N, Q, a, seed):
         assert str(got.value) == str(exc)
         return
     # where a chorded node's load exceeds 1 - a the reference scales every
-    # weight down, and the chords fall below the floor; the builder refuses
-    cap_binds = family == "chorded" and N > 1 and _chorded_peak_load(N, Q, ref.a, seed) > 1.0 - ref.a
-    if cap_binds:
-        with pytest.raises(ValueError, match="self-loop would fall below the floor"):
+    # weight down, and the chords fall below the floor; where a load meets
+    # 1 - a, a self-loop rounds a few ulps under a.  The builder refuses
+    # exactly where an entry it would build falls below the floor
+    if family == "chorded" and N > 1 and _chorded_lowest_entry(N, Q, ref.a, seed) < ref.a:
+        with pytest.raises(ValueError, match="below the floor"):
             make_schedule(N=N, Q=Q, a=a, seed=seed, family=family)
         return
     s = make_schedule(N=N, Q=Q, a=a, seed=seed, family=family)
@@ -103,13 +108,19 @@ def test_builder_matches_reference_bit_for_bit(family, N, Q, a, seed):
         assert np.array_equal(A.view(np.uint64), ref.matrix(k).view(np.uint64)), k
         assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(A.sum(axis=1) - 1.0).max() <= 1e-12
-        # where a load meets 1 - a, the diagonal 1 - sum(w) rounds to a few
-        # ulps around a
-        assert np.diag(A).min() >= s.a - 1e-15
-        assert A[A > 0].min() >= s.a - 1e-15
+        assert np.diag(A).min() >= s.a
+        assert A[A > 0].min() >= s.a
     for k in range(horizon - Q + 1):
         assert is_strongly_connected(sum(mats[k : k + Q])), k
     assert validate_schedule(s, horizon) == graphs_reference.validate_schedule(ref, horizon)
+    assert validate_schedule(s, horizon).floor_ok
+
+
+def test_chorded_refuses_a_self_loop_ulps_under_the_floor():
+    # N=3, Q=2, a=0.1: a node's edges weigh 0.4 + 0.4 + 0.1 = 1 - a in one
+    # round, and its self-loop 1 - 0.4 - 0.4 - 0.1 rounds under a
+    with pytest.raises(ValueError, match="falls to 0.09999999999999995, below the floor"):
+        make_schedule(N=3, Q=2, a=0.1, seed=0, family="chorded")
 
 
 @pytest.mark.parametrize("N", [2, 20, 2000])

@@ -1,7 +1,12 @@
 """Ground-truth oracles: closed-form saddle vs brute-force grid search."""
 
+import tracemalloc
+
 import numpy as np
+import oracle_reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppd import (
     Affine,
@@ -137,3 +142,94 @@ def test_random_instances_kkt_consistency():
         gval = p.constraint(ref.x_star)[0]
         assert gval <= 5e-3
         assert abs(float(ref.mu_star[0]) * gval) <= 5e-3
+
+
+# ------------------------------------------- streaming maximin vs the chunked one
+
+
+def _assert_same_bits(p, **grid):
+    got = brute_force_saddle(p, **grid)
+    ref = oracle_reference.brute_force_saddle(p, **grid)
+    for name in ("x_star", "mu_star", "f_star", "gap"):
+        a = np.asarray(getattr(got, name), dtype=float)
+        b = np.asarray(getattr(ref, name), dtype=float)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (name, a, b)
+
+
+# the benchmark's `suite` at seed 1 draws its two 1-D instances, the family
+# of random_small_instance, from these seeds
+SUITE_SEEDS = [int(s) for s in np.random.default_rng(1).integers(0, 2**31 - 1, size=3)[:2]]
+
+
+@pytest.mark.parametrize("seed", SUITE_SEEDS)
+def test_grid_oracle_bits_match_chunked_reference_suite_grid(seed):
+    _assert_same_bits(random_small_instance(seed), U0=12.0, resolution=1e-3)
+
+
+def test_grid_oracle_bits_match_chunked_reference_paper_instance(paper_problem):
+    _assert_same_bits(paper_problem, U0=3.0, resolution=1e-3, mu_resolution=1e-2)
+
+
+def test_grid_oracle_bits_match_chunked_reference_on_ties():
+    # g = 0 and a constant f: every grid point ties on both sides, and the
+    # lowest index wins
+    f = (constant(1, 2.0), constant(1, -0.5))
+    g = (VectorConstraint((constant(1, 0.0),)),) * 2
+    p = Problem(f=f, g=g, X0=Box(np.array([-1.0]), np.array([1.0])))
+    ref = brute_force_saddle(p, U0=1.0, resolution=1e-2)
+    assert ref.x_star[0] == -1.0 and ref.mu_star[0] == 0.0
+    _assert_same_bits(p, U0=1.0, resolution=1e-2)
+
+
+def test_grid_oracle_bits_match_chunked_reference_across_chunks():
+    # nx = 20,001 gave the chunked loop 999 mu points per chunk; mu* = 1.13
+    # sits at index 1,130 of 2,001, in the second chunk
+    p = random_small_instance(9)
+    ref = brute_force_saddle(p, U0=2.0, resolution=1e-4, mu_resolution=1e-3)
+    assert ref.mu_star[0] > 999e-3
+    _assert_same_bits(p, U0=2.0, resolution=1e-4, mu_resolution=1e-3)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    U0=st.sampled_from([0.5, 2.0, 4.0, 12.0]),
+    resolution=st.sampled_from([5e-2, 2e-2, 1e-2]),
+    mu_resolution=st.sampled_from([None, 1e-1, 1e-2, 3e-3]),
+)
+@settings(max_examples=40)
+def test_grid_oracle_bits_match_chunked_reference_random(seed, U0, resolution, mu_resolution):
+    _assert_same_bits(
+        random_small_instance(seed), U0=U0, resolution=resolution, mu_resolution=mu_resolution
+    )
+
+
+def test_grid_oracle_memory_is_linear_in_the_grid():
+    # nx = 2,001 and nmu = 12,001: the whole grid of values would take 183 MiB
+    p = random_small_instance(3)
+    tracemalloc.start()
+    try:
+        brute_force_saddle(p, U0=12.0, resolution=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+class _HoleAtHalf:
+    """A scalar function that is 0 everywhere but x = 0.5, where it is NaN."""
+
+    dim = 1
+
+    def value(self, x):
+        return np.nan if x[0] == 0.5 else 0.0
+
+
+@pytest.mark.parametrize("side", ["f", "g"])
+def test_grid_oracle_rejects_non_finite_values(side):
+    # a NaN would reach the gap, and a NaN gap passes `gap > tol` silently
+    hole, zero = _HoleAtHalf(), constant(1, 0.0)
+    f = hole if side == "f" else zero
+    g = VectorConstraint((hole if side == "g" else zero,))
+    p = Problem(f=(f,), g=(g,), X0=Box(np.array([0.0]), np.array([1.0])))
+    with pytest.raises(ValueError, match=r"not finite at grid point x = 0\.5"):
+        brute_force_saddle(p, U0=1.0, resolution=0.25, tol=1.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from dppd import (
     Affine,
@@ -169,6 +170,33 @@ def test_prox_solve_quadratic_box_vs_grid():
         vals = 0.5 * p * xs**2 + q * xs + (xs - v) ** 2 / (2 * alpha)
         ref = xs[np.argmin(vals)]
         assert out == pytest.approx(ref, abs=1e-5)
+
+
+def test_prox_solve_non_separable_quadratic_on_box_vs_minimizer():
+    # a non-diagonal P on a box, anchors outside it: the exact box QP against
+    # an independent L-BFGS-B run on the penalized objective
+    rng = np.random.default_rng(0)
+    for n in (2, 3):
+        for _ in range(15):
+            M = rng.normal(size=(n, n))
+            P, q = M @ M.T, rng.normal(size=n)
+            lo = rng.uniform(-1.0, 0.0, n)
+            hi = lo + rng.uniform(0.2, 1.5, n)
+            v = np.where(rng.random(n) < 0.5, lo - rng.uniform(0.5, 2.0, n), hi + rng.uniform(0.5, 2.0, n))
+            alpha = rng.uniform(0.1, 2.0)
+            x = prox_solve(ProxQuery(Quadratic(P, q), v, alpha, Box(lo, hi)))
+
+            def F(z):
+                return 0.5 * z @ P @ z + q @ z + (z - v) @ (z - v) / (2 * alpha)
+
+            ref = minimize(
+                F, np.clip(v, lo, hi), jac=lambda z: P @ z + q + (z - v) / alpha,
+                method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                options={"ftol": 0.0, "gtol": 1e-14, "maxiter": 10_000},
+            ).x
+            assert np.all((lo <= x) & (x <= hi))
+            assert np.abs(x - ref).max() <= 1e-8
+            assert F(x) <= F(ref) + 1e-12
 
 
 def test_prox_solve_optimality_certificate():

@@ -472,6 +472,25 @@ def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
         solve(p, sched, DppdConfig(K=5, U0=1.0))
 
 
+def test_run_on_non_separable_quadratic_on_box():
+    # f_i = x.Px/2 + (1, 1).x increases over the box [0.25, 1]^2, so every
+    # prox lands on the box's boundary, which no closed form reaches for a
+    # non-diagonal P; the per-agent engine solves the box QP exactly
+    N = 4
+    P = np.array([[1.0, 0.5], [0.5, 1.0]])
+    p = Problem(
+        f=tuple(Quadratic(P, np.ones(2)) for _ in range(N)),
+        g=tuple(VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N)),
+        X0=Box(np.full(2, 0.25), np.ones(2)),
+    )
+    s = make_schedule(N=N, Q=1, a=0.2, seed=0, family="ring")
+    tr = run(p, s, DppdConfig(K=50, U0=1.0, stride=10))
+    assert tr.engine == "per-agent (agent 0: f has a non-diagonal quadratic)"
+    x = tr.final_state.x
+    assert np.all((0.25 <= x) & (x <= 1.0))
+    assert tr.xbar[-1] == pytest.approx([0.25, 0.25], abs=1e-12)
+
+
 def _two_dim_problem(N=3, P=np.eye(2), X0=Box(np.full(2, -1.0), np.ones(2)), log_agent=None):
     f = [Quadratic(P, np.ones(2)) for _ in range(N)]
     g = [VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N)]
