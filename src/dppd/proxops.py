@@ -1,12 +1,13 @@
 """Proximal subproblem solvers for the per-agent primal update.
 
-Strategy ladder: closed form for quadratic composites and for scalar
-affine-plus-weighted-log composites, bounded-variable least squares for a
-non-separable quadratic on a box, derivative bisection for other scalar
-convex objectives (the penalty makes the derivative strictly increasing),
-and an explicit error for unsupported shapes.  The dual update needs no
-solver: it is the projection of the ascent point onto the dual set, which
-the round takes with ``NonnegBall.project``.
+Strategy ladder: closed form for quadratic composites and for every
+scalar quadratic-plus-weighted-log composite, bounded-variable least squares
+for a non-separable quadratic on a box, derivative bisection only for
+scalar convex functions from outside the registry (the penalty makes the
+derivative strictly increasing), and an explicit error for unsupported
+shapes.  The dual update needs no solver: it is the projection of the
+ascent point onto the dual set, which the round takes with
+``NonnegBall.project``.
 """
 
 from dataclasses import dataclass
@@ -108,18 +109,21 @@ def flatten_composite(f):
     return acc["P"], acc["q"], acc["r"], acc["w"]
 
 
-def neglog_prox_root(q, w, v, alpha):
-    """Minimizer over x > -1 of q*x - w*log(1+x) + (x-v)^2/(2*alpha), w > 0.
+def neglog_prox_root(p, q, w, v, alpha):
+    """Minimizer over x > -1 of p*x^2/2 + q*x - w*log(1+x) + (x-v)^2/(2*alpha),
+    p >= 0 (None is zero), w > 0.
 
-    Stationarity times alpha*(1+x) is x^2 + (1 - v + alpha*q)*x
-    + (alpha*q - v - alpha*w) = 0; the quadratic is negative at x = -1, so
-    exactly one root exceeds -1 (the larger one).
+    With a = 1 + alpha*p, stationarity times alpha*(1+x) is a*x^2
+    + (a - v + alpha*q)*x + (alpha*q - v - alpha*w) = 0; the quadratic is
+    -alpha*w < 0 at x = -1, so exactly one root exceeds -1 (the larger
+    one).  The derivative is increasing, so clipping that root to an
+    interval gives the minimizer over the interval.
     """
+    a = 1.0 if p is None else 1.0 + alpha * p
     aq = alpha * q
-    B = 1.0 - v + aq
+    B = a - v + aq
     C = aq - v - alpha * w
-    disc = B * B - 4.0 * C
-    return 0.5 * (-B + np.sqrt(disc))
+    return (-B + np.sqrt(B * B - 4.0 * a * C)) / (2.0 * a)
 
 
 def _penalized_derivative(objective, anchor, alpha):
@@ -163,7 +167,8 @@ def prox_solve(qy, tol=1e-10):
         if w == 0.0:
             x_u = prox_quadratic(P, q, v, alpha)
             if s.contains(x_u):
-                return x_u
+                # contains allows a tolerance; the projection takes it back
+                return s.project(x_u)
             if isinstance(s, Box):
                 if n == 1 or not np.any(P - np.diag(np.diag(P))):
                     # separable quadratic: clamping each coordinate is exact
@@ -180,13 +185,8 @@ def prox_solve(qy, tol=1e-10):
         lo, hi = iv
         if lo <= -1.0:
             raise ProxError("feasible set must lie in the log domain x > -1")
-        p = float(P[0, 0])
-        if p == 0.0:
-            root = neglog_prox_root(float(q[0]), w, float(v[0]), alpha)
-            # derivative is increasing, so clipping the interior root is exact
-            return np.array([min(max(root, lo), hi)])
-        h = _penalized_derivative(qy.objective, float(v[0]), alpha)
-        return np.array([_bisect_scalar(h, lo, hi, tol)])
+        root = neglog_prox_root(float(P[0, 0]), float(q[0]), w, float(v[0]), alpha)
+        return np.array([min(max(root, lo), hi)])
 
     if n == 1:
         iv = interval_of(s)

@@ -33,13 +33,7 @@ from scipy import stats
 
 from .functions import Box, NonnegBall, Scaled, Sum, interval_of
 from .graphs import mix
-from .proxops import (
-    ProxQuery,
-    _bisect_scalar,
-    flatten_composite,
-    neglog_prox_root,
-    prox_solve,
-)
+from .proxops import ProxQuery, flatten_composite, neglog_prox_root, prox_solve
 
 __all__ = [
     "StepsizeSchedule",
@@ -285,26 +279,15 @@ class _Plan:
             x_new = _quad_prox(xhat, p, q, alpha)
         else:
             w = self._with_duals(self.wf, self.wg, muhat)
-            quad = w == 0.0
-            logm = ~quad if p is None else ~quad & (p == 0.0)
+            logm = w != 0.0
             if logm.all():
-                x_new = neglog_prox_root(q, w, xhat, alpha)
+                x_new = neglog_prox_root(p, q, w, xhat, alpha)
             else:
-                # the quadratic step for every agent, then the others replaced
+                # the quadratic step for every agent, then the log ones replaced
                 x_new = _quad_prox(xhat, p, q, alpha)
                 if logm.any():
-                    x_new[logm] = neglog_prox_root(q[logm], w[logm], xhat[logm], alpha)
-            if p is not None:
-                hard = ~quad & (p != 0.0)
-                for i in np.flatnonzero(hard).tolist():
-                    # mixed quadratic+log: bisection on the increasing derivative
-                    pi, qi, wi, vi = float(p[i]), float(q[i]), float(w[i]), float(xhat[i])
-                    x_new[i] = _bisect_scalar(
-                        lambda t: pi * t + qi - wi / (1.0 + t) + (t - vi) / alpha,
-                        self.lo,
-                        self.hi,
-                        1e-12,
-                    )
+                    pl = None if p is None else p[logm]
+                    x_new[logm] = neglog_prox_root(pl, q[logm], w[logm], xhat[logm], alpha)
         x_new.clip(self.lo, self.hi, out=x_new)
         return x_new, self._dual_step(x_new, muhat, alpha, U0)
 

@@ -16,10 +16,6 @@ __all__ = ["write_trace", "read_trace", "report_compare"]
 SCHEMA = 1
 
 
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def write_trace(trace, path):
     n = trace.xbar.shape[1]
     header = (
@@ -27,22 +23,14 @@ def write_trace(trace, path):
         + [f"xbar_{j}" for j in range(n)]
         + ["cons_x", "cons_mu", "lagrangian", trace.err_column, "constr_viol"]
     )
+    cols = np.column_stack(
+        (trace.k, trace.alpha, trace.xbar, trace.cons_x, trace.cons_mu,
+         trace.lagrangian, trace.eval_err, trace.constr_viol)
+    )
     with open(path, "w") as fh:
         fh.write(f"# schema={SCHEMA}\n")
         fh.write(",".join(header) + "\n")
-        for r in range(trace.k.size):
-            row = (
-                [str(int(trace.k[r])), _fmt(trace.alpha[r])]
-                + [_fmt(v) for v in trace.xbar[r]]
-                + [
-                    _fmt(trace.cons_x[r]),
-                    _fmt(trace.cons_mu[r]),
-                    _fmt(trace.lagrangian[r]),
-                    _fmt(trace.eval_err[r]),
-                    _fmt(trace.constr_viol[r]),
-                ]
-            )
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, cols, fmt=["%d"] + ["%.17g"] * (len(header) - 1), delimiter=",")
 
 
 def read_trace(path):

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or of its tests imports a name
-it never uses, and no module of the package keeps a private helper that the
-package never uses."""
+it never uses, no module of the package keeps a private helper that the
+package never uses, and every public name of a package module is read by
+the package or by the acceptance gate."""
 
 import ast
 import pathlib
@@ -78,3 +79,54 @@ def test_scan_finds_a_dead_private_helper():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert dead_private_helpers(sources) == []
+
+
+def _public(tree):
+    """The names listed in a module's __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _defines(node, name):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == name for t in node.targets
+    )
+
+
+def unread_public_names(sources, readers=()):
+    """(module, name) of each name in a module's __all__ that neither a
+    module of sources (outside the name's own definition) nor a reader
+    source reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = sum((_names(ast.parse(src)) for src in readers), Counter())
+    used += sum((_names(t) for t in trees.values()), Counter())
+    return sorted(
+        (mod, name)
+        for mod, tree in trees.items()
+        for name in _public(tree)
+        if used[name]
+        == sum((_names(node)[name] for node in tree.body if _defines(node, name)), 0)
+    )
+
+
+def test_scan_finds_an_unread_public_name():
+    sources = {
+        "a.py": "__all__ = ['read', 'unread', 'LONE', 'gated']\n"
+        "def read():\n    pass\n\ndef unread():\n    return unread()\n\n"
+        "LONE = 1\n\ndef gated():\n    pass\n",
+        "b.py": "from a import read\n",
+    }
+    readers = ("from a import gated\n",)
+    assert unread_public_names(sources, readers) == [("a.py", "LONE"), ("a.py", "unread")]
+
+
+def test_every_public_name_is_read():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    readers = ((TESTS / "test_acceptance.py").read_text(),)
+    assert unread_public_names(sources, readers) == []

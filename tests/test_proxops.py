@@ -64,7 +64,7 @@ def _log_barrier_prox(v, alpha=1.0):
     """Prox of -log(y) at v through neglog_prox_root, the closed form of the
     paper instance's primal step: with y = 1 + x it is the prox of
     -log(1 + x) at v - 1, shifted back by one."""
-    return 1.0 + neglog_prox_root(0.0, 1.0, v - 1.0, alpha)
+    return 1.0 + neglog_prox_root(None, 0.0, 1.0, v - 1.0, alpha)
 
 
 def test_log_barrier_prox_known_points():
@@ -116,11 +116,51 @@ def test_neglog_prox_root_matches_bisection():
         w = rng.uniform(0.05, 3.0)
         v = rng.uniform(-0.5, 2.0)
         alpha = rng.uniform(0.05, 2.0)
-        root = float(neglog_prox_root(q, w, v, alpha))
+        root = float(neglog_prox_root(None, q, w, v, alpha))
         h = lambda x: q - w / (1.0 + x) + (x - v) / alpha
         ref = _bisect_scalar(h, -1.0 + 1e-12, 50.0, 1e-12)
         assert root == pytest.approx(ref, abs=1e-9)
         assert root > -1.0
+
+
+def test_neglog_prox_root_with_curvature_matches_bisection():
+    # p in [0, 5]: the closed-form root vs a 1e-13 bisection on (-1, 50]
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        p = rng.uniform(0.0, 5.0)
+        q = rng.uniform(-2.0, 2.0)
+        w = rng.uniform(0.05, 3.0)
+        v = rng.uniform(-0.5, 2.0)
+        alpha = 10.0 ** rng.uniform(-3.0, 2.0)
+        root = float(neglog_prox_root(p, q, w, v, alpha))
+        h = lambda x: p * x + q - w / (1.0 + x) + (x - v) / alpha
+        ref = _bisect_scalar(h, -1.0 + 1e-12, 50.0, 1e-13)
+        assert root == pytest.approx(ref, abs=1e-9)
+        assert root > -1.0
+
+
+def _old_neglog_prox_root(q, w, v, alpha):
+    """The two-coefficient root the engines used before curvature was
+    allowed (p == 0 only)."""
+    aq = alpha * q
+    B = 1.0 - v + aq
+    C = aq - v - alpha * w
+    disc = B * B - 4.0 * C
+    return 0.5 * (-B + np.sqrt(disc))
+
+
+@pytest.mark.parametrize("p", [None, 0.0], ids=["none", "zero"])
+def test_neglog_prox_root_without_curvature_keeps_the_old_bits(p):
+    rng = np.random.default_rng(10)
+    q = rng.uniform(-2.0, 2.0, 500)
+    w = rng.uniform(0.05, 3.0, 500)
+    v = rng.uniform(-0.5, 2.0, 500)
+    for alpha in 10.0 ** rng.uniform(-3.0, 2.0, 20):
+        new = neglog_prox_root(None if p is None else np.full(500, p), q, w, v, alpha)
+        old = _old_neglog_prox_root(q, w, v, alpha)
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+        scalar = neglog_prox_root(p, float(q[0]), float(w[0]), float(v[0]), alpha)
+        assert np.float64(scalar).view(np.uint64) == old[:1].view(np.uint64)[0]
 
 
 # ---------------------------------------------------------------- prox_solve
@@ -153,6 +193,43 @@ def test_prox_solve_benchmark_agent_vs_bisection():
         else:
             ref = _bisect_scalar(h, 0.0, 1.0, 1e-12)
         assert out == pytest.approx(ref, abs=1e-9)
+
+
+def test_prox_solve_quadratic_plus_log_vs_bisection():
+    # a composite with curvature and a log term on a box: the clipped
+    # closed-form root vs a clamped 1e-13 bisection on the penalized derivative
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        lo = rng.uniform(-0.5, 0.5)
+        hi = lo + rng.uniform(0.1, 2.0)
+        p, q, d, mu = rng.uniform(0.0, 5.0), rng.uniform(-2.0, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.0, 3.0)
+        v = rng.uniform(lo - 1.0, hi + 1.0)
+        alpha = 10.0 ** rng.uniform(-3.0, 2.0)
+        obj = Sum((Quadratic(np.array([[p]]), np.zeros(1)), Affine(np.array([q])), Scaled(NegLog(d), mu)))
+        out = float(prox_solve(ProxQuery(obj, np.array([v]), alpha, Box(np.array([lo]), np.array([hi]))))[0])
+        h = lambda x: p * x + q - mu * d / (1.0 + x) + (x - v) / alpha
+        ref = _bisect_scalar(h, lo, hi, 1e-13)
+        assert lo <= out <= hi
+        assert out == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("case", ["interval", "box-qp", "nonneg-ball"])
+def test_prox_solve_returns_a_point_inside_the_set(case):
+    # anchors a few 1e-13 outside the set, inside contains' default tolerance
+    if case == "interval":
+        s = Box(np.array([0.0]), np.array([1.0]))
+        obj, v, alpha = constant(1, 0.0), np.array([1.0 + 5e-13]), 0.5
+    elif case == "box-qp":
+        s = Box(np.zeros(2), np.ones(2))
+        P, q, alpha = np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2]), 0.7
+        obj = Quadratic(P, q)
+        v = (np.eye(2) + alpha * P) @ np.array([1.0 + 5e-13, 0.4]) + alpha * q
+        assert 1.0 < prox_quadratic(P, q, v, alpha)[0]
+    else:
+        s = NonnegBall(1.0, dim_=2)
+        obj, v, alpha = constant(2, 0.0), np.array([0.6, 0.8 + 4e-13]), 0.5
+    x = prox_solve(ProxQuery(obj, v, alpha, s))
+    assert s.contains(x, tol=0.0)
 
 
 def test_prox_solve_quadratic_box_vs_grid():

@@ -191,7 +191,8 @@ def test_vectorized_engine_matches_generic_rounds(paper_problem):
 # Registry compositions for n = 1.  Each mode fixes which prox branch every
 # agent takes: "quadratic" has no log term (w == 0), "log" no quadratic term
 # (p == 0, w > 0), "mixed" a quadratic and a log term in every f_i (p != 0,
-# w > 0, bisection), "dual-log" logs only in the constraints, so the first
+# w > 0; both engines share this root, so tests/test_proxops.py checks it
+# against bisection), "dual-log" logs only in the constraints, so the first
 # round, with zero duals, is quadratic and later ones are not; "any" mixes
 # all families freely.
 _coef = st.floats(-1.5, 1.5)
