@@ -11,19 +11,21 @@ Three phases, all barrier-synchronized on the same graph schedule:
 
 A max-consensus step is one gather of the in-neighbor values and one
 segmented max over them, O(nnz) for a round matrix with nnz positive
-entries.  Finding those entries, the row supports, costs an O(N^2) scan of
-the dense matrix, done once per distinct round matrix a sweep meets: a
-periodic schedule returns the same Q matrices over and over, so a sweep of
-(N-1)*Q steps scans only Q of them (a schedule that builds each round's
-matrix anew, such as birkhoff, is scanned at every step).
+entries.  Those entries, the row supports, come from the round matrix's CSR
+form in a `graphs.RoundCache`, made by an O(N^2) scan once per distinct
+round matrix a sweep meets: a periodic schedule returns the same Q
+matrices over and over, so a sweep of (N-1)*Q steps scans only Q of them (a
+schedule that builds each round's matrix anew, such as birkhoff, is scanned
+at every step).  The averaging step of certification mixes through the same
+cache, in CSR where its operator rule says so.
 """
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import Scaled, Sum, VectorConstraint, constant, interval_of
+from .graphs import RoundCache
 from .proxops import flatten_composite, _bisect_scalar
 from .solver import DppdConfig, run
 
@@ -75,43 +77,11 @@ def find_slater(p, sched, stepsize, K):
     return x_check
 
 
-class _MaxSweep:
-    """Max-consensus steps of one sweep, with each round matrix's row
-    supports found once.
-
-    Supports are memoized by id(A) and count as known only while a weak
-    reference to A still returns A, so a freed matrix whose id is reused by
-    a fresh one (a schedule that builds each round's matrix anew) is
-    scanned again.  No strong reference to a matrix is held, and each scan
-    drops the entries of freed matrices.  A schedule must not change a
-    matrix in place once matrix(k) has returned it.
-    """
-
-    def __init__(self):
-        self._supports = {}  # id(A) -> (weakref to A, cols, starts)
-
-    def step(self, A, s):
-        """Componentwise max over the in-neighbors of each agent (the
-        positive entries of its row of A)."""
-        hit = self._supports.get(id(A))
-        if hit is None or hit[0]() is not A:
-            hit = self._scan(A)
-        return np.maximum.reduceat(s[hit[1]], hit[2], axis=0)
-
-    def _scan(self, A):
-        pos = A > 0
-        counts = np.count_nonzero(pos, axis=1)
-        if not counts.all():
-            i = int(np.argmin(counts))
-            raise ValueError(f"round matrix row {i} has no positive entry")
-        starts = np.zeros_like(counts)
-        np.cumsum(counts[:-1], out=starts[1:])
-        hit = (weakref.ref(A), np.nonzero(pos)[1], starts)
-        self._supports = {
-            key: val for key, val in self._supports.items() if val[0]() is not None
-        }
-        self._supports[id(A)] = hit
-        return hit
+def _max_step(rounds, A, s):
+    """Componentwise max over the in-neighbors of each agent (the positive
+    entries of its row of A), with A's supports from the cache rounds."""
+    cols, starts = rounds.supports(A)
+    return np.maximum.reduceat(s[cols], starts, axis=0)
 
 
 def max_consensus_round(sched, k0, s, steps):
@@ -125,9 +95,9 @@ def max_consensus_round(sched, k0, s, steps):
     s = np.array(s, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
-    sweep = _MaxSweep()
+    rounds = RoundCache()
     for t in range(steps):
-        s = sweep.step(sched.matrix(k0 + t), s)
+        s = _max_step(rounds, sched.matrix(k0 + t), s)
     return s
 
 
@@ -148,13 +118,13 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
             return z[0].copy()
         raise SlaterError("single-agent constraint value not negative")
     k = 0
-    sweep = _MaxSweep()
+    rounds = RoundCache()
     for block in range(max_rounds):
         s = z.copy()
         for _ in range(sigma):
             A = sched.matrix(k)
-            s = sweep.step(A, s)
-            z = A @ z
+            s = _max_step(rounds, A, s)
+            z = rounds.mixer(A) @ z
             k += 1
         z_max = s[0]
         if np.all(z_max < 0):

@@ -177,7 +177,15 @@ def prox_solve(qy, tol=1e-10):
             iv = interval_of(s)
             if iv is not None:
                 return np.array([np.clip(x_u[0], iv[0], iv[1])])
-            raise ProxError("no closed form for this set/objective shape")
+            c = P[0, 0]
+            if c >= 0.0 and not np.any(P - c * np.eye(n)):
+                # P = c*I: the penalized objective is (1 + alpha*c)/(2*alpha)
+                # * ||x - x_u||^2 plus a constant, so its minimizer over the
+                # set is the projection of x_u
+                return s.project(x_u)
+            raise ProxError(
+                f"no closed form for a non-isotropic {n}x{n} quadratic on a {type(s).__name__}"
+            )
         # scalar quadratic + weighted log
         iv = interval_of(s)
         if iv is None:

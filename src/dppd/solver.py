@@ -32,7 +32,7 @@ import numpy as np
 from scipy import stats
 
 from .functions import Box, NonnegBall, Scaled, Sum, interval_of
-from .graphs import mix
+from .graphs import RoundCache, mix
 from .proxops import ProxQuery, flatten_composite, neglog_prox_root, prox_solve
 
 __all__ = [
@@ -416,10 +416,17 @@ def _start(p, U0):
 
 
 def _rounds(p, sched, cfg):
-    """(k, alpha_k, A_k) for the rounds k < cfg.K of a synchronous method."""
+    """(k, alpha_k, A_k) for the rounds k < cfg.K of a synchronous method.
+
+    A_k mixes by `A_k @ V`: it is sched.matrix(k) itself, or its CSR form
+    where the run's one RoundCache picks CSR (a large sparse matrix, from
+    its second round on).  Schedules below the cache's size threshold, the
+    paper's N = 100 included, keep every bit of the dense product.
+    """
     if sched.N != p.N:
         raise ValueError("schedule size does not match agent count")
-    return ((k, cfg.stepsize.alpha(k), sched.matrix(k)) for k in range(cfg.K))
+    rounds = RoundCache()
+    return ((k, cfg.stepsize.alpha(k), rounds.mixer(sched.matrix(k))) for k in range(cfg.K))
 
 
 def _spread(a):

@@ -22,7 +22,7 @@ from dppd import (
     max_consensus_round,
     mix,
 )
-from dppd import dualbound
+from dppd import graphs
 from dppd.functions import constant
 from dppd.graphs import FAMILIES
 from dppd.oracle import brute_force_saddle
@@ -157,8 +157,8 @@ def test_max_consensus_matches_row_loop_step_by_step(name, m, k0, monkeypatch):
     s = EQUIVALENCE_SCHEDULES[name]()
     if name == "fresh":
         # all matrices share one id, as a freed matrix and the next round's
-        # can: only the weak reference tells them apart
-        monkeypatch.setattr(dualbound, "id", lambda obj: 0, raising=False)
+        # can: only the round cache's weak reference tells them apart
+        monkeypatch.setattr(graphs, "id", lambda obj: 0, raising=False)
     rng = np.random.default_rng([m, k0])
     signed_zeros = rng.choice([-0.0, 0.0, -1.5, -0.25], size=(s.N, m))
     with_nan = signed_zeros.copy()

@@ -1,6 +1,7 @@
 """Graph schedules: double stochasticity, floors, window connectivity."""
 
 import weakref
+from unittest import mock
 
 import graphs_reference
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dppd import GraphSchedule, make_schedule, mix, validate_schedule
-from dppd.graphs import is_strongly_connected
+from dppd import graphs
+from dppd.graphs import DENSE_BELOW, RoundCache, is_strongly_connected
 
 FAMILIES = ("ring", "round-robin", "chorded", "birkhoff", "complete")
 
@@ -258,8 +260,74 @@ def test_mix_preserves_average_and_contracts():
 
 
 def test_mix_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mix(np.eye(3), np.zeros((4, 2)))
+    for vectors in (np.zeros((4, 2)), np.ones(4)):
+        with pytest.raises(ValueError, match="vector count must equal the number of agents"):
+            mix(np.eye(3), vectors)
+
+
+# ------------------------------------------------------------ round cache
+
+
+# N = 182 is the first size at or above the dense-product threshold
+_SIDES = st.one_of(st.integers(2, 24), st.integers(182, 240))
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    N=_SIDES,
+    Q=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+@example(family="chorded", N=200, Q=2, seed=1)
+@example(family="birkhoff", N=190, Q=1, seed=0)
+@example(family="complete", N=182, Q=3, seed=0)
+@settings(max_examples=60)
+def test_round_cache_operator_holds_the_matrix_and_its_product(family, N, Q, seed):
+    assert 181**2 < DENSE_BELOW <= 182**2
+    try:
+        s = make_schedule(N=N, Q=Q, a=min(0.05, 1.0 / N), seed=seed, family=family)
+    except ValueError:
+        return  # family/Q combination unsupported at this size
+    sparse_family = N * N >= DENSE_BELOW and family not in ("birkhoff", "complete")
+    rng = np.random.default_rng(seed)
+    rounds, handed = RoundCache(), []
+    with mock.patch.object(graphs, "_csr", wraps=graphs._csr) as scans:
+        for k in range(2 * Q + 1):
+            A = s.matrix(k)
+            op = rounds.mixer(A)
+            # CSR from the second time the same matrix object is handed out
+            assert (op is not A) == (sparse_family and any(A is B for B in handed))
+            handed.append(A)
+            if op is A:
+                continue
+            assert op.nnz == np.count_nonzero(A)
+            assert np.array_equal(op.toarray().view(np.uint64), A.view(np.uint64))
+            X = rng.normal(size=(N, 2))
+            scale = np.abs(A) @ np.abs(X)
+            assert np.all(np.abs(op @ X - A @ X) <= 1e-15 * scale)
+            assert np.all(np.abs(op @ X[:, 0] - A @ X[:, 0]) <= 1e-15 * scale[:, 0])
+    # each distinct periodic round matrix is scanned once (complete to find
+    # it dense), a birkhoff round never
+    scanned = N * N >= DENSE_BELOW and family != "birkhoff"
+    assert scans.call_count == (len({id(B) for B in handed}) if scanned else 0)
+
+
+def test_round_cache_converts_at_the_second_mix_and_keeps_dense_ones_dense():
+    rounds = RoundCache()
+    ring = make_schedule(N=200, Q=1, a=0.1, seed=0, family="ring").matrix(0)
+    complete = make_schedule(N=200, Q=1, a=0.005, seed=0, family="complete").matrix(0)
+    assert rounds.mixer(ring) is ring
+    op = rounds.mixer(ring)
+    assert op is not ring and op.nnz == 400 and rounds.mixer(ring) is op
+    assert all(rounds.mixer(complete) is complete for _ in range(3))
+    small = np.eye(181)
+    assert all(rounds.mixer(small) is small for _ in range(3))
+    # mix takes the cache's operator as it takes the array
+    V = np.random.default_rng(0).normal(size=(200, 3))
+    assert np.allclose(mix(op, V), mix(ring, V), rtol=0.0, atol=1e-15)
+    assert np.allclose(mix(op, V[:, 0]), ring @ V[:, 0], rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="vector count"):
+        mix(op, np.ones(199))
 
 
 # --------------------------------------------------------------- validation

@@ -9,6 +9,7 @@ from dppd import (
     Box,
     NegLog,
     NonnegBall,
+    ProxError,
     ProxQuery,
     Quadratic,
     Scaled,
@@ -274,6 +275,42 @@ def test_prox_solve_non_separable_quadratic_on_box_vs_minimizer():
             assert np.all((lo <= x) & (x <= hi))
             assert np.abs(x - ref).max() <= 1e-8
             assert F(x) <= F(ref) + 1e-12
+
+
+def test_prox_solve_isotropic_quadratic_on_nonneg_ball_vs_minimizer():
+    # P = c*I (c = 0 too) on a NonnegBall, anchors whose unconstrained point
+    # leaves the set: the projection against an independent SLSQP run
+    ball = NonnegBall(1.0, dim_=2)
+    cases = [(1.0, np.ones(2), np.array([3.0, 3.0]), 1.0)]  # x_u = (1, 1)
+    rng = np.random.default_rng(8)
+    for _ in range(15):
+        cases.append((rng.choice([0.0, rng.uniform(0.1, 3.0)]), rng.normal(size=2),
+                      rng.uniform(-2.0, 4.0, 2), rng.uniform(0.1, 2.0)))
+    for c, q, v, alpha in cases:
+        P = c * np.eye(2)
+        x = prox_solve(ProxQuery(Quadratic(P, q), v, alpha, ball))
+
+        def F(z):
+            return 0.5 * z @ P @ z + q @ z + (z - v) @ (z - v) / (2 * alpha)
+
+        ref = minimize(
+            F, np.full(2, 0.5), jac=lambda z: P @ z + q + (z - v) / alpha, method="SLSQP",
+            bounds=[(0.0, None)] * 2,
+            constraints=[{"type": "ineq", "fun": lambda z: 1.0 - z @ z, "jac": lambda z: -2.0 * z}],
+            options={"ftol": 1e-15, "maxiter": 1000},
+        ).x
+        assert ball.contains(x, tol=0.0)
+        assert np.abs(x - ref).max() <= 1e-8
+    assert prox_solve(ProxQuery(Quadratic(np.eye(2), np.ones(2)), np.array([3.0, 3.0]), 1.0, ball)) == (
+        pytest.approx(np.full(2, np.sqrt(0.5)), abs=1e-15)
+    )
+
+
+def test_prox_solve_non_isotropic_quadratic_on_nonneg_ball_names_set_and_shape():
+    P = np.array([[1.0, 0.5], [0.5, 1.0]])
+    qy = ProxQuery(Quadratic(P, np.ones(2)), np.array([3.0, 3.0]), 1.0, NonnegBall(1.0, dim_=2))
+    with pytest.raises(ProxError, match="non-isotropic 2x2 quadratic on a NonnegBall"):
+        prox_solve(qy)
 
 
 def test_prox_solve_optimality_certificate():

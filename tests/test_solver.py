@@ -1,6 +1,7 @@
 """Solver rounds, traces, stepsizes, and run-level invariants."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dppd import (
     run_csp_sg,
     running_eval_error,
 )
+from dppd import graphs
 from dppd.baseline import csp_sg_round
 from dppd.functions import constant
 from dppd.proxops import ProxQuery
@@ -431,6 +433,38 @@ def test_per_step_displacement_bounds(paper_problem):
         cur = nxt
 
 
+TRACE_COLUMNS = ("k", "alpha", "xbar", "mubar", "cons_x", "cons_mu", "lagrangian", "eval_err", "constr_viol", "value")
+
+
+@pytest.mark.parametrize("family, Q", [("chorded", 2), ("round-robin", 3), ("ring", 1)])
+@pytest.mark.parametrize("kind", ["paper", "two-dim"])
+def test_sparse_mixing_stays_within_tolerance_of_dense(family, Q, kind):
+    # N = 400 is past the dense-product threshold, so both solvers mix each
+    # periodic round in CSR from its second use; the reference mixes every
+    # round densely: a hand loop of the plan's steps for the final iterates,
+    # and for the trace columns a schedule that hands out a fresh copy of
+    # each round matrix, which the run's round cache never sees twice
+    N = 400
+    p = dppd.build_paper_example(N=N, b=N / 20) if kind == "paper" else _two_dim_problem(N=N)
+    s = make_schedule(N=N, Q=Q, a=0.05, seed=3, family=family)
+    fresh = dppd.GraphSchedule(N, Q, s.a, lambda k: s.matrix(k).copy())
+    cfg = DppdConfig(K=60, U0=5.0, stride=7, f_star=0.0)
+    for solve, step in ((run, "step"), (run_csp_sg, "sg_step")):
+        with mock.patch.object(graphs, "_csr", wraps=graphs._csr) as scans:
+            tr = solve(p, s, cfg)
+        assert scans.call_count == len({id(s.matrix(k)) for k in range(Q)})
+        ref = solve(p, fresh, cfg)
+        plan, _, x, mu = _start(p, cfg.U0)
+        for k in range(cfg.K):
+            x, mu = getattr(plan, step)(s.matrix(k), x, mu, cfg.stepsize.alpha(k), cfg.U0)
+        assert np.array_equal(ref.final_state.x, x.reshape(N, -1))
+        assert np.array_equal(ref.final_state.mu, mu.reshape(N, -1))
+        assert np.abs(tr.final_state.x - ref.final_state.x).max() <= 1e-12
+        assert np.abs(tr.final_state.mu - ref.final_state.mu).max() <= 1e-12
+        for col in TRACE_COLUMNS:
+            assert np.abs(getattr(tr, col) - getattr(ref, col)).max() <= 1e-12, col
+
+
 def test_schedule_size_mismatch_rejected():
     p = dppd.build_paper_example(N=4, b=0.2)
     with pytest.raises(ValueError, match="schedule size"):
@@ -514,6 +548,20 @@ def _two_dim_problem(N=3, P=np.eye(2), X0=Box(np.full(2, -1.0), np.ones(2)), log
 )
 def test_compile_plan_declines_what_does_not_flatten(problem, why):
     assert compile_plan(problem) == (None, why)
+
+
+def test_run_on_nonneg_ball_with_isotropic_quadratic_completes():
+    # every unconstrained prox point leaves the ball (f pulls toward -1), so
+    # each agent's step is the projection of that point
+    ball = NonnegBall(1.0, dim_=2)
+    s = make_schedule(N=3, Q=1, a=0.3, seed=0, family="ring")
+    tr = run(_two_dim_problem(X0=ball), s, DppdConfig(K=40, U0=2.0))
+    assert tr.engine == "per-agent (the set is a NonnegBall, not a box)"
+    assert all(ball.contains(x, tol=0.0) for x in tr.final_state.x)
+    assert np.all(np.isfinite(tr.lagrangian))
+    skew = _two_dim_problem(P=np.array([[1.0, 0.5], [0.5, 1.0]]), X0=ball)
+    with pytest.raises(RuntimeError, match="primal prox failed for agent 0"):
+        run(skew, s, DppdConfig(K=2, U0=2.0))
 
 
 @pytest.mark.parametrize("solve", [run, run_csp_sg])
