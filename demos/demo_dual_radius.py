@@ -30,8 +30,9 @@ total = float(problem.constraint(x_check)[0])
 print(f"  x_check = {x_check[0]:.4f}, summed constraint = {total:.3f} < 0\n")
 
 print("phase 2: certify negativity by consensus")
-z_check = dppd.certify_negative(problem, schedule, x_check)
-print(f"  agreed per-agent average = {z_check[0]:.4f} < 0")
+z_check, blocks = dppd.certify_negative(problem, schedule, x_check)
+print(f"  agreed per-agent average = {z_check[0]:.4f} < 0 after {blocks} blocks "
+      f"of (N-1)*Q rounds")
 print("  (some agents start with positive local values; averaging pulls")
 print("  every estimate below zero before the max-consensus check agrees)\n")
 

@@ -8,6 +8,8 @@ Three phases, all barrier-synchronized on the same graph schedule:
      sum) and finite-time max-consensus sweeps,
   3. agree on max_i f_i and min_i q_i by one further max-consensus sweep
      over both columns and assemble the radius N*(f_max - q_min)/gamma_lower.
+     Each local dual value q_i is exact: f_i + mu.g_i flattens to a
+     registry composite whose minimizer has a closed form.
 
 A max-consensus step is one gather of the in-neighbor values and one
 segmented max over them, O(nnz) for a round matrix with nnz positive
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import Scaled, Sum, VectorConstraint, constant, interval_of
+from .functions import DomainError, Scaled, Sum, VectorConstraint, constant, interval_of
 from .graphs import RoundCache
-from .proxops import flatten_composite, _bisect_scalar
-from .solver import DppdConfig, run
+from .proxops import flatten_composite, neglog_prox_root
+from .solver import DppdConfig, _slope, run
 
 __all__ = [
     "SlaterError",
@@ -102,24 +104,26 @@ def max_consensus_round(sched, k0, s, steps):
 
 
 def certify_negative(p, sched, x_check, max_rounds=1000):
-    """Certified componentwise-negative consensus value of the local
-    constraint evaluations at x_check.
+    """(z_check, blocks): the certified componentwise-negative consensus
+    value of the local constraint evaluations at x_check, and the number of
+    blocks it took (0 for a single agent, which needs no consensus).
 
     Runs average consensus on z and, over the same rounds, finite-time max
     consensus on a snapshot of z; repeats in blocks of (N-1)*Q rounds until
-    the agreed max is strictly negative.  The signum threshold test of the
-    protocol reduces to strict negativity because signum values are -1/0/1.
+    the agreed max is strictly negative.  max_rounds caps the number of
+    blocks, not of rounds.  The signum threshold test of the protocol
+    reduces to strict negativity because signum values are -1/0/1.
     """
     N = p.N
     z = np.stack([gi.value(x_check) for gi in p.g])  # (N, m)
     sigma = (N - 1) * sched.Q
     if sigma == 0:
         if np.all(z[0] < 0):
-            return z[0].copy()
+            return z[0].copy(), 0
         raise SlaterError("single-agent constraint value not negative")
     k = 0
     rounds = RoundCache()
-    for block in range(max_rounds):
+    for block in range(1, max_rounds + 1):
         s = z.copy()
         for _ in range(sigma):
             A = sched.matrix(k)
@@ -128,31 +132,47 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
             k += 1
         z_max = s[0]
         if np.all(z_max < 0):
-            return z_max.copy()
+            return z_max.copy(), block
     raise SlaterError(
         "negativity certification did not terminate; check joint connectivity"
     )
 
 
 def _local_dual_value(fi, gi, mu, X0):
-    """q_i(mu) = inf over X0 of f_i(x) + mu.g_i(x)."""
-    obj = Sum((fi,) + tuple(Scaled(c, float(m)) for c, m in zip(gi.components, mu)))
-    iv = interval_of(X0)
-    if iv is not None:
-        # h increases: the minimizer is its root, or an endpoint if it has none
-        def h(x):
-            return float(obj.grad(np.array([x]))[0])
+    """q_i(mu) = inf over X0 of f_i(x) + mu.g_i(x), which flattens to
+    p*x^2/2 + q*x - w*log(1+x) + r on an interval and to a quadratic on any
+    other set, where only an interior minimizer is accepted.
 
-        return obj.value(np.array([_bisect_scalar(h, *iv, 1e-12)]))
+    On an interval the slope p*x + q - w/(1+x) increases, so the minimizer
+    is lo if the slope is >= 0 there, hi if it is <= 0 there, and otherwise
+    the slope's root, clipped against rounding.  The log slope is taken only
+    when w != 0: without a log term the interval may reach x = -1.
+    """
+    obj = Sum((fi,) + tuple(Scaled(c, float(m)) for c, m in zip(gi.components, mu)))
     flat = flatten_composite(obj)
-    if flat is None or flat[3] != 0.0:
-        raise RuntimeError("cannot minimize this composite on a non-interval set")
-    P, q, r, _ = flat
-    # quadratic on a general set: accept only an interior minimizer
-    x_star = np.linalg.lstsq(P, -q, rcond=None)[0]
-    if not X0.contains(x_star):
-        raise RuntimeError("minimizer outside the set; unsupported shape")
-    return float(0.5 * x_star @ P @ x_star + q @ x_star) + r
+    iv = interval_of(X0)
+    if iv is None:
+        if flat is None or flat[3] != 0.0:
+            raise RuntimeError("cannot minimize this composite on a non-interval set")
+        P, q, r, _ = flat
+        x_star = np.linalg.lstsq(P, -q, rcond=None)[0]
+        if not X0.contains(x_star):
+            raise RuntimeError("minimizer outside the set; unsupported shape")
+        return float(0.5 * x_star @ P @ x_star + q @ x_star) + r
+    p, q, w, (lo, hi) = float(flat[0][0, 0]), float(flat[1][0]), flat[3], iv
+    if w != 0.0 and lo <= -1.0:
+        raise DomainError(f"x={lo} outside domain x > -1")
+    if _slope(p, q, w or None, lo) >= 0.0:
+        x = lo
+    elif _slope(p, q, w or None, hi) <= 0.0:
+        x = hi
+    elif w == 0.0:
+        x = -q / p
+    elif p == 0.0:
+        x = w / q - 1.0
+    else:
+        x = neglog_prox_root(None, q, w, 0.0, 1.0 / p)
+    return obj.value(np.array([min(max(x, lo), hi)]))
 
 
 def assemble_bound(p, sched, x_check, z_check, mu_check=None, counts=(0, 0)):
@@ -192,29 +212,12 @@ def assemble_bound(p, sched, x_check, z_check, mu_check=None, counts=(0, 0)):
     )
 
 
-class _CountedRounds:
-    """The Q and matrix() of a schedule, counting the matrix lookups."""
-
-    def __init__(self, sched):
-        self.Q = sched.Q
-        self._matrix = sched.matrix
-        self.lookups = 0
-
-    def matrix(self, k):
-        self.lookups += 1
-        return self._matrix(k)
-
-
 def compute_dual_radius(p, sched, stepsize, K, mu_check=None, max_rounds=1000):
     """Full three-phase protocol; all agents end with the identical result.
 
-    certify_blocks counts the certification blocks used: the rounds that
-    certify_negative looked up over the (N-1)*Q rounds of a block (0 for a
-    single agent, which needs no consensus).
+    max_rounds caps certify_negative's blocks of (N-1)*Q rounds, and
+    certify_blocks reports the blocks it used (0 for a single agent).
     """
     x_check = find_slater(p, sched, stepsize, K)
-    rounds = _CountedRounds(sched)
-    z_check = certify_negative(p, rounds, x_check, max_rounds=max_rounds)
-    sigma = (p.N - 1) * sched.Q
-    blocks = rounds.lookups // sigma if sigma else 0
+    z_check, blocks = certify_negative(p, sched, x_check, max_rounds=max_rounds)
     return assemble_bound(p, sched, x_check, z_check, mu_check, counts=(K, blocks))

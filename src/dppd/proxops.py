@@ -1,13 +1,12 @@
 """Proximal subproblem solvers for the per-agent primal update.
 
-Strategy ladder: closed form for quadratic composites and for every
-scalar quadratic-plus-weighted-log composite, bounded-variable least squares
-for a non-separable quadratic on a box, derivative bisection only for
-scalar convex functions from outside the registry (the penalty makes the
-derivative strictly increasing), and an explicit error for unsupported
-shapes.  The dual update needs no solver: it is the projection of the
-ascent point onto the dual set, which the round takes with
-``NonnegBall.project``.
+Every subproblem is solved exactly from the flattened registry
+composite: a closed form for quadratic composites and for every scalar
+quadratic-plus-weighted-log composite, and bounded-variable least squares
+for a non-separable quadratic on a box.  Any other shape, and any function
+from outside the registry, raises ProxError.  The dual update needs no
+solver: it is the projection of the ascent point onto the dual set, which
+the round takes with ``NonnegBall.project``.
 """
 
 from dataclasses import dataclass
@@ -26,11 +25,8 @@ __all__ = [
     "flatten_composite",
 ]
 
-BISECTION_CAP = 1000
-
-
 class ProxError(RuntimeError):
-    """No closed form applies and the numerical path cannot handle the shape."""
+    """The subproblem has a shape, or a function, that no exact path solves."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,8 @@ def _box_qp(P, q, v, alpha, box):
 
 def flatten_composite(f):
     """Reduce a registry function to (P, q, r, w): quadratic part plus a
-    -w*log(1+x) term (scalar only).  Returns None for unknown families."""
+    -w*log(1+x) term.  Returns None for a log term with n != 1; raises
+    ProxError naming the class of a term from outside the registry."""
     n = f.dim
 
     def rec(fn, scale):
@@ -97,13 +94,10 @@ def flatten_composite(f):
             for t in fn.terms:
                 rec(t, scale)
         else:
-            raise TypeError
+            raise ProxError(f"{type(fn).__name__} is not in the function registry")
 
     acc = {"P": np.zeros((n, n)), "q": np.zeros(n), "r": 0.0, "w": 0.0}
-    try:
-        rec(f, 1.0)
-    except TypeError:
-        return None
+    rec(f, 1.0)
     if acc["w"] != 0.0 and n != 1:
         return None
     return acc["P"], acc["q"], acc["r"], acc["w"]
@@ -126,82 +120,42 @@ def neglog_prox_root(p, q, w, v, alpha):
     return (-B + np.sqrt(B * B - 4.0 * a * C)) / (2.0 * a)
 
 
-def _penalized_derivative(objective, anchor, alpha):
-    def h(x):
-        return float(objective.grad(np.array([x]))[0]) + (x - anchor) / alpha
-
-    return h
-
-
-def _bisect_scalar(h, lo, hi, tol):
-    """Root of an increasing function on [lo, hi]; endpoints win on sign."""
-    flo = h(lo)
-    if flo >= 0:
-        return lo
-    fhi = h(hi)
-    if fhi <= 0:
-        return hi
-    steps = 0
-    while hi - lo > tol and steps < BISECTION_CAP:
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        steps += 1
-    if hi - lo > tol:
-        raise ProxError("bisection failed to reach tolerance within cap")
-    return 0.5 * (lo + hi)
-
-
-def prox_solve(qy, tol=1e-10):
+def prox_solve(qy):
     """argmin over qy.set of qy.objective(x) + ||x - anchor||^2/(2*alpha)."""
-    v = qy.anchor
-    alpha = qy.alpha
-    s = qy.set
+    v, alpha, s = qy.anchor, qy.alpha, qy.set
     n = v.shape[0]
     flat = flatten_composite(qy.objective)
-
-    if flat is not None:
-        P, q, r, w = flat
-        if w == 0.0:
-            x_u = prox_quadratic(P, q, v, alpha)
-            if s.contains(x_u):
-                # contains allows a tolerance; the projection takes it back
+    if flat is None:
+        raise ProxError(f"no closed form for a log term in {n} dimensions")
+    P, q, r, w = flat
+    if w == 0.0:
+        x_u = prox_quadratic(P, q, v, alpha)
+        if s.contains(x_u):
+            # contains allows a tolerance; the projection takes it back
+            return s.project(x_u)
+        if isinstance(s, Box):
+            if n == 1 or not np.any(P - np.diag(np.diag(P))):
+                # separable quadratic: clamping each coordinate is exact
                 return s.project(x_u)
-            if isinstance(s, Box):
-                if n == 1 or not np.any(P - np.diag(np.diag(P))):
-                    # separable quadratic: clamping each coordinate is exact
-                    return s.project(x_u)
-                return _box_qp(P, q, v, alpha, s)
-            iv = interval_of(s)
-            if iv is not None:
-                return np.array([np.clip(x_u[0], iv[0], iv[1])])
-            c = P[0, 0]
-            if c >= 0.0 and not np.any(P - c * np.eye(n)):
-                # P = c*I: the penalized objective is (1 + alpha*c)/(2*alpha)
-                # * ||x - x_u||^2 plus a constant, so its minimizer over the
-                # set is the projection of x_u
-                return s.project(x_u)
-            raise ProxError(
-                f"no closed form for a non-isotropic {n}x{n} quadratic on a {type(s).__name__}"
-            )
-        # scalar quadratic + weighted log
+            return _box_qp(P, q, v, alpha, s)
         iv = interval_of(s)
-        if iv is None:
-            raise ProxError("log composite requires a 1-D feasible set")
-        lo, hi = iv
-        if lo <= -1.0:
-            raise ProxError("feasible set must lie in the log domain x > -1")
-        root = neglog_prox_root(float(P[0, 0]), float(q[0]), w, float(v[0]), alpha)
-        return np.array([min(max(root, lo), hi)])
-
-    if n == 1:
-        iv = interval_of(s)
-        if iv is None:
-            raise ProxError("unsupported 1-D feasible set")
-        h = _penalized_derivative(qy.objective, float(v[0]), alpha)
-        return np.array([_bisect_scalar(h, iv[0], iv[1], tol)])
-
-    raise ProxError("non-scalar problem with no closed form")
-
+        if iv is not None:
+            return np.array([np.clip(x_u[0], iv[0], iv[1])])
+        c = P[0, 0]
+        if c >= 0.0 and not np.any(P - c * np.eye(n)):
+            # P = c*I: the penalized objective is (1 + alpha*c)/(2*alpha)
+            # * ||x - x_u||^2 plus a constant, so its minimizer over the
+            # set is the projection of x_u
+            return s.project(x_u)
+        raise ProxError(
+            f"no closed form for a non-isotropic {n}x{n} quadratic on a {type(s).__name__}"
+        )
+    # scalar quadratic + weighted log
+    iv = interval_of(s)
+    if iv is None:
+        raise ProxError("log composite requires a 1-D feasible set")
+    lo, hi = iv
+    if lo <= -1.0:
+        raise ProxError("feasible set must lie in the log domain x > -1")
+    root = neglog_prox_root(float(P[0, 0]), float(q[0]), w, float(v[0]), alpha)
+    return np.array([min(max(root, lo), hi)])

@@ -33,7 +33,7 @@ from scipy import stats
 
 from .functions import Box, NonnegBall, Scaled, Sum, interval_of
 from .graphs import RoundCache, mix
-from .proxops import ProxQuery, flatten_composite, neglog_prox_root, prox_solve
+from .proxops import ProxError, ProxQuery, flatten_composite, neglog_prox_root, prox_solve
 
 __all__ = [
     "StepsizeSchedule",
@@ -343,10 +343,12 @@ def compile_plan(p):
     terms = []
     for i, (fi, gi) in enumerate(zip(p.f, p.g)):
         for label, fn in (("f", fi), *((f"g[{l}]", c) for l, c in enumerate(gi.components))):
-            flat = flatten_composite(fn)
+            try:
+                flat = flatten_composite(fn)
+            except ProxError as exc:
+                return None, f"agent {i}: {label}: {exc}"
             if flat is None:
-                kinds = "quadratic, affine and log" if n == 1 else "quadratic and affine"
-                return None, f"agent {i}: {label} is not a sum of {kinds} terms"
+                return None, f"agent {i}: {label} is not a sum of quadratic and affine terms"
             P, q, r, w = flat
             d = np.diag(P)
             if n > 1 and np.any(P - np.diag(d)):

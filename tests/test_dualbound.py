@@ -23,11 +23,13 @@ from dppd import (
     mix,
 )
 from dppd import graphs
-from dppd.functions import constant
+from dppd.dualbound import _local_dual_value
+from dppd.functions import DomainError, NegLog, Scaled, Sum, constant
 from dppd.graphs import FAMILIES
 from dppd.oracle import brute_force_saddle
 
 from conftest import random_small_instance
+from proxops_reference import local_dual_value
 
 
 # ---------------------------------------------------------------- find_slater
@@ -196,8 +198,9 @@ def test_certify_negative_immediate_when_all_locals_negative():
     g = tuple(VectorConstraint((constant(1, v),)) for v in vals)
     p = Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
     s = make_schedule(N=4, Q=1, a=0.2, seed=0, family="ring")
-    z = certify_negative(p, s, np.array([0.5]))
+    z, blocks = certify_negative(p, s, np.array([0.5]))
     assert z == pytest.approx(np.array([-0.2]), abs=1e-12)
+    assert blocks == 1
 
 
 def test_certify_negative_requires_averaging_blocks(paper_problem):
@@ -208,8 +211,8 @@ def test_certify_negative_requires_averaging_blocks(paper_problem):
     locals_ = np.array([g.value(x)[0] for g in paper_problem.g])
     assert locals_.max() > 0 and locals_.sum() < 0
     s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
-    z = certify_negative(paper_problem, s, x)
-    assert z.shape == (1,)
+    z, blocks = certify_negative(paper_problem, s, x)
+    assert z.shape == (1,) and blocks > 1
     # mixing can only pull values toward the average, so the certified max
     # lies between the agent mean and the original agent max
     assert locals_.mean() - 1e-9 <= z[0] <= locals_.max() + 1e-9
@@ -222,13 +225,66 @@ def test_certify_negative_single_agent_paths():
     g_ok = (VectorConstraint((constant(1, -0.3),)),)
     p = Problem(f=f, g=g_ok, X0=X0)
     s = make_schedule(N=1, Q=1, a=0.5, seed=0, family="ring")
-    assert certify_negative(p, s, np.zeros(1)) == pytest.approx(np.array([-0.3]))
+    z, blocks = certify_negative(p, s, np.zeros(1))
+    assert z == pytest.approx(np.array([-0.3])) and blocks == 0
     g_bad = (VectorConstraint((constant(1, 0.1),)),)
     with pytest.raises(SlaterError):
         certify_negative(Problem(f=f, g=g_bad, X0=X0), s, np.zeros(1))
 
 
+def test_certify_negative_gives_up_after_max_rounds_blocks():
+    # the identity never mixes, so agent 0 keeps its positive local value
+    # and no block certifies; max_rounds caps blocks of (N-1)*Q rounds
+    f = tuple(Affine(np.array([1.0])) for _ in range(2))
+    g = tuple(VectorConstraint((constant(1, v),)) for v in (0.1, -0.5))
+    p = Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
+    s = GraphSchedule.from_cycle([np.eye(2)])
+    with pytest.raises(SlaterError, match="did not terminate"):
+        certify_negative(p, s, np.array([0.5]), max_rounds=3)
+
+
 # ------------------------------------------------------------------ assembly
+
+
+def _dual_value_case(rng, p_zero, w_zero, lo):
+    """(f_i, g_i, mu, X0): f_i + mu.g_i flattens to p*x^2/2 + q*x
+    - w*log(1+x) + r with p (from f_i and the second component of g_i) and
+    w (from f_i) zero or positive as asked, on [lo, hi]."""
+    pf, pg = (0.0, 0.0) if p_zero else rng.uniform(0.0, 2.0, 2)
+    f = Quadratic(np.array([[pf]]), rng.uniform(-3.0, 3.0, 1), rng.uniform(-1.0, 1.0))
+    if not w_zero:
+        f = Sum((f, Scaled(NegLog(rng.uniform(0.05, 1.0), rng.uniform(-1.0, 1.0)), rng.uniform(0.1, 2.0))))
+    g = VectorConstraint((Affine(rng.uniform(-1.0, 1.0, 1), rng.uniform(-1.0, 1.0)),
+                          Quadratic(np.array([[pg]]), np.zeros(1))))
+    mu = rng.uniform(0.0, 2.0, 2)
+    return f, g, mu, Box(np.array([lo]), np.array([lo + rng.uniform(0.1, 2.0)]))
+
+
+@pytest.mark.parametrize("w_zero", [True, False], ids=["w=0", "w>0"])
+@pytest.mark.parametrize("p_zero", [True, False], ids=["p=0", "p>0"])
+def test_local_dual_value_matches_reference_bisection(p_zero, w_zero):
+    # the closed-form minimizer against a 1e-12 bisection on the composite's
+    # gradient; without a log term a fifth of the intervals start at x = -1
+    rng = np.random.default_rng(13)
+    outcomes = set()
+    for _ in range(400):
+        lo = -1.0 if w_zero and rng.random() < 0.2 else rng.uniform(-0.9, 0.5)
+        f, g, mu, X0 = _dual_value_case(rng, p_zero, w_zero, lo)
+        obj = Sum((f,) + tuple(Scaled(c, m) for c, m in zip(g.components, mu)))
+        slope_lo, slope_hi = (float(obj.grad(e)[0]) for e in (X0.lo, X0.hi))
+        outcomes.add("lo" if slope_lo >= 0 else "hi" if slope_hi <= 0 else "root")
+        value = _local_dual_value(f, g, mu, X0)
+        assert value == pytest.approx(local_dual_value(f, g, mu, X0), rel=0.0, abs=1e-12)
+    # both endpoint outcomes, and an interior root wherever the slope can vanish
+    assert outcomes == ({"lo", "hi"} if p_zero and w_zero else {"lo", "hi", "root"})
+
+
+def test_local_dual_value_log_term_on_interval_reaching_minus_one_raises():
+    f, g, mu, X0 = _dual_value_case(np.random.default_rng(14), False, False, -1.0)
+    with pytest.raises(DomainError):
+        local_dual_value(f, g, mu, X0)
+    with pytest.raises(DomainError):
+        _local_dual_value(f, g, mu, X0)
 
 
 def test_assemble_bound_guards():
@@ -245,7 +301,7 @@ def test_assemble_bound_benchmark_components(paper_problem):
     # at x = 0), and f_max at x_check = 1 is max_i theta_i = 1
     s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
     x_check = np.array([1.0])
-    z_check = certify_negative(paper_problem, s, x_check)
+    z_check, _ = certify_negative(paper_problem, s, x_check)
     res = assemble_bound(paper_problem, s, x_check, z_check)
     assert res.q_min == pytest.approx(0.0, abs=1e-12)
     assert res.f_max == pytest.approx(1.0, abs=1e-12)
@@ -300,6 +356,7 @@ def test_dual_radius_reports_certification_blocks_used():
         blocks += 1
     assert blocks > 1
     assert res.certify_blocks == blocks
+    assert certify_negative(p, s, res.x_check)[1] == blocks
 
 
 def test_dual_radius_dominates_optimal_multiplier_random():

@@ -1,4 +1,5 @@
-"""Proximal subproblem solvers: closed forms, bisection path, dual step."""
+"""Proximal subproblem solvers: closed forms against a reference bisection,
+the error for a function outside the registry, and the dual step."""
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from dppd import (
     prox_quadratic,
     prox_solve,
 )
-from dppd.proxops import _bisect_scalar, flatten_composite, neglog_prox_root
+from dppd.proxops import flatten_composite, neglog_prox_root
 from dppd.functions import constant
+
+from proxops_reference import bisect_scalar
 
 
 # ------------------------------------------------------------ prox_quadratic
@@ -119,7 +122,7 @@ def test_neglog_prox_root_matches_bisection():
         alpha = rng.uniform(0.05, 2.0)
         root = float(neglog_prox_root(None, q, w, v, alpha))
         h = lambda x: q - w / (1.0 + x) + (x - v) / alpha
-        ref = _bisect_scalar(h, -1.0 + 1e-12, 50.0, 1e-12)
+        ref = bisect_scalar(h, -1.0 + 1e-12, 50.0, 1e-12)
         assert root == pytest.approx(ref, abs=1e-9)
         assert root > -1.0
 
@@ -135,7 +138,7 @@ def test_neglog_prox_root_with_curvature_matches_bisection():
         alpha = 10.0 ** rng.uniform(-3.0, 2.0)
         root = float(neglog_prox_root(p, q, w, v, alpha))
         h = lambda x: p * x + q - w / (1.0 + x) + (x - v) / alpha
-        ref = _bisect_scalar(h, -1.0 + 1e-12, 50.0, 1e-13)
+        ref = bisect_scalar(h, -1.0 + 1e-12, 50.0, 1e-13)
         assert root == pytest.approx(ref, abs=1e-9)
         assert root > -1.0
 
@@ -192,7 +195,7 @@ def test_prox_solve_benchmark_agent_vs_bisection():
         elif h(1.0) <= 0:
             ref = 1.0
         else:
-            ref = _bisect_scalar(h, 0.0, 1.0, 1e-12)
+            ref = bisect_scalar(h, 0.0, 1.0, 1e-12)
         assert out == pytest.approx(ref, abs=1e-9)
 
 
@@ -209,7 +212,7 @@ def test_prox_solve_quadratic_plus_log_vs_bisection():
         obj = Sum((Quadratic(np.array([[p]]), np.zeros(1)), Affine(np.array([q])), Scaled(NegLog(d), mu)))
         out = float(prox_solve(ProxQuery(obj, np.array([v]), alpha, Box(np.array([lo]), np.array([hi]))))[0])
         h = lambda x: p * x + q - mu * d / (1.0 + x) + (x - v) / alpha
-        ref = _bisect_scalar(h, lo, hi, 1e-13)
+        ref = bisect_scalar(h, lo, hi, 1e-13)
         assert lo <= out <= hi
         assert out == pytest.approx(ref, abs=1e-9)
 

@@ -32,7 +32,7 @@ from dppd import (
 from dppd import graphs
 from dppd.baseline import csp_sg_round
 from dppd.functions import constant
-from dppd.proxops import ProxQuery
+from dppd.proxops import ProxError, ProxQuery
 from dppd.solver import SwarmState, _start, compile_plan, initial_state
 
 
@@ -571,6 +571,36 @@ def test_trace_records_engine_and_reason(solve):
     assert solve(_two_dim_problem(), s, cfg).engine == "compiled"
     skew = _two_dim_problem(P=np.array([[1.0, 0.5], [0.5, 1.0]]))
     assert solve(skew, s, cfg).engine == "per-agent (agent 0: f has a non-diagonal quadratic)"
+
+
+class _Quartic:
+    """x^4/4: convex and scalar, but from outside the function registry."""
+
+    dim = 1
+
+    def value(self, x):
+        return float(x[0]) ** 4 / 4.0
+
+    def grad(self, x):
+        return np.array([float(x[0]) ** 3])
+
+
+def test_function_outside_the_registry_raises_naming_its_class():
+    X0 = Box(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ProxError, match="_Quartic is not in the function registry"):
+        prox_solve(ProxQuery(Sum((_Quartic(), Affine(np.ones(1)))), np.array([0.5]), 1.0, X0))
+    N = 3
+    p = Problem(
+        f=(_Quartic(),) + tuple(Affine(np.ones(1)) for _ in range(N - 1)),
+        g=tuple(VectorConstraint((Affine(np.ones(1), -0.5),)) for _ in range(N)),
+        X0=X0,
+    )
+    assert _start(p, 1.0)[1] == "per-agent (agent 0: f: _Quartic is not in the function registry)"
+    s = make_schedule(N=N, Q=1, a=0.3, seed=0, family="ring")
+    with pytest.raises(RuntimeError, match="primal prox failed for agent 0 in round 0") as err:
+        run(p, s, DppdConfig(K=2, U0=1.0))
+    assert isinstance(err.value.__cause__, ProxError)
+    assert "_Quartic" in str(err.value.__cause__)
 
 
 # --------------------------------------------------------- error + rate fit
