@@ -9,25 +9,25 @@ Three phases, all barrier-synchronized on the same graph schedule:
   3. agree on max_i f_i and min_i q_i by one further max-consensus sweep
      over both columns and assemble the radius N*(f_max - q_min)/gamma_lower.
      Each local dual value q_i is exact: f_i + mu.g_i flattens to a
-     registry composite whose minimizer has a closed form.
+     registry composite whose minimizer has a closed form (on an interval,
+     or a diagonal quadratic on a box).
 
 A max-consensus step is one gather of the in-neighbor values and one
-segmented max over them, O(nnz) for a round matrix with nnz positive
-entries.  Those entries, the row supports, come from the round matrix's CSR
-form in a `graphs.RoundCache`, made by an O(N^2) scan once per distinct
-round matrix a sweep meets: a periodic schedule returns the same Q
-matrices over and over, so a sweep of (N-1)*Q steps scans only Q of them (a
-schedule that builds each round's matrix anew, such as birkhoff, is scanned
-at every step).  The averaging step of certification mixes through the same
-cache, in CSR where its operator rule says so.
+segmented max over them, O(nnz) for a round with nnz positive entries.
+Those entries, the row supports, are the row pointers and column indices of
+the round's CSR operator as the schedule built it; a round given as an
+array (a small schedule, or one given only by its matrices) is scanned for
+its positive entries at each step.  The averaging step of certification
+mixes through the same operator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import issparse
 
-from .functions import DomainError, Scaled, Sum, VectorConstraint, constant, interval_of
-from .graphs import RoundCache
+from .functions import Box, DomainError, Scaled, Sum, VectorConstraint, constant, interval_of
+from .graphs import _operator
 from .proxops import flatten_composite, neglog_prox_root
 from .solver import DppdConfig, _slope, run
 
@@ -79,11 +79,21 @@ def find_slater(p, sched, stepsize, K):
     return x_check
 
 
-def _max_step(rounds, A, s):
-    """Componentwise max over the in-neighbors of each agent (the positive
-    entries of its row of A), with A's supports from the cache rounds."""
-    cols, starts = rounds.supports(A)
-    return np.maximum.reduceat(s[cols], starts, axis=0)
+def _max_step(A, s):
+    """Componentwise max over the in-neighbors of each agent, the positive
+    entries of its row of the round operator A.
+
+    Raises ValueError on an array row with no positive entry (all zero or
+    NaN); a schedule's CSR round stores exactly its positive entries, its
+    self-loops among them.
+    """
+    if issparse(A):
+        return np.maximum.reduceat(s[A.indices], A.indptr[:-1], axis=0)
+    rows, cols = np.divmod(np.flatnonzero(A > 0), len(A))
+    counts = np.bincount(rows, minlength=len(A))
+    if not counts.all():
+        raise ValueError(f"round matrix row {int(np.argmin(counts))} has no positive entry")
+    return np.maximum.reduceat(s[cols], np.cumsum(counts) - counts, axis=0)
 
 
 def max_consensus_round(sched, k0, s, steps):
@@ -97,9 +107,8 @@ def max_consensus_round(sched, k0, s, steps):
     s = np.array(s, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
-    rounds = RoundCache()
     for t in range(steps):
-        s = _max_step(rounds, sched.matrix(k0 + t), s)
+        s = _max_step(_operator(sched, k0 + t), s)
     return s
 
 
@@ -122,13 +131,12 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
             return z[0].copy(), 0
         raise SlaterError("single-agent constraint value not negative")
     k = 0
-    rounds = RoundCache()
     for block in range(1, max_rounds + 1):
         s = z.copy()
         for _ in range(sigma):
-            A = sched.matrix(k)
-            s = _max_step(rounds, A, s)
-            z = rounds.mixer(A) @ z
+            A = _operator(sched, k)
+            s = _max_step(A, s)
+            z = A @ z
             k += 1
         z_max = s[0]
         if np.all(z_max < 0):
@@ -141,12 +149,16 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
 def _local_dual_value(fi, gi, mu, X0):
     """q_i(mu) = inf over X0 of f_i(x) + mu.g_i(x), which flattens to
     p*x^2/2 + q*x - w*log(1+x) + r on an interval and to a quadratic on any
-    other set, where only an interior minimizer is accepted.
+    other set.
 
     On an interval the slope p*x + q - w/(1+x) increases, so the minimizer
     is lo if the slope is >= 0 there, hi if it is <= 0 there, and otherwise
     the slope's root, clipped against rounding.  The log slope is taken only
-    when w != 0: without a log term the interval may reach x = -1.
+    when w != 0: without a log term the interval may reach x = -1.  On a box
+    a convex diagonal quadratic separates, and its minimizer is each
+    coordinate's own clipped to the box: -q_j/p_j, or for p_j = 0 the end
+    that the sign of q_j picks.  Any other quadratic is accepted only with
+    its unconstrained minimizer inside the set.
     """
     obj = Sum((fi,) + tuple(Scaled(c, float(m)) for c, m in zip(gi.components, mu)))
     flat = flatten_composite(obj)
@@ -155,9 +167,14 @@ def _local_dual_value(fi, gi, mu, X0):
         if flat is None or flat[3] != 0.0:
             raise RuntimeError("cannot minimize this composite on a non-interval set")
         P, q, r, _ = flat
-        x_star = np.linalg.lstsq(P, -q, rcond=None)[0]
-        if not X0.contains(x_star):
-            raise RuntimeError("minimizer outside the set; unsupported shape")
+        p = np.diag(P)
+        if isinstance(X0, Box) and np.all(p >= 0.0) and np.array_equal(P, np.diag(p)):
+            x_star = np.where(p > 0.0, -q / np.where(p > 0.0, p, 1.0), np.where(q > 0.0, -np.inf, np.inf))
+            x_star = np.clip(x_star, X0.lo, X0.hi)
+        else:
+            x_star = np.linalg.lstsq(P, -q, rcond=None)[0]
+            if not X0.contains(x_star):
+                raise RuntimeError("minimizer outside the set; unsupported shape")
         return float(0.5 * x_star @ P @ x_star + q @ x_star) + r
     p, q, w, (lo, hi) = float(flat[0][0, 0]), float(flat[1][0]), flat[3], iv
     if w != 0.0 and lo <= -1.0:

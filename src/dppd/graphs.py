@@ -5,27 +5,27 @@ is doubly stochastic with self-loop and nonzero weights bounded below by the
 configured floor, and every window of Q consecutive rounds has a strongly
 connected union digraph.
 
-Every family is built from numpy arrays of weighted edges: a periodic
-family's Q round matrices once, when the schedule is made, and a birkhoff
-round each time it is asked for.  An entry that several edges touch
-accumulates edge by edge, i then j; that order is what keeps every bit of
-every matrix.
+Every family is built from numpy arrays of weighted edges, and the schedule
+hands out each round as the operator a run mixes with, `operator(k)`: a
+periodic family's Q round operators are made once, when the schedule is
+made, and a birkhoff round each time it is asked for.  An entry that several
+edges touch accumulates edge by edge, i then j; that order is what keeps
+every bit of every matrix.
 
-The matrices stay dense N x N arrays, the form `matrix(k)` returns, but a
-run mixes through a `RoundCache`: a round matrix of 2**15 entries or more
-that a run meets a second time, and that is at most a tenth nonzero, is
-mixed in CSR form (the periodic families but complete, from N = 182 on;
-a birkhoff round is met once).  The CSR's row pointers and column
-indices are also the row supports that max-consensus steps over.
+A round of fewer than DENSE_BELOW = 2**15 entries, and every complete
+round, is a dense N x N array.  Any other round is a CSR array made from
+its edges in one sort of their entry keys, so a large schedule is built,
+validated and run without ever forming an N x N array; `matrix(k)` makes
+the dense array of such a round on request.  A CSR round stores exactly
+its positive entries, in column order within each row: its row pointers
+and column indices are the row supports that max-consensus steps over.
 """
 
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix, issparse
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -39,19 +39,24 @@ __all__ = [
 
 FAMILIES = ("ring", "round-robin", "chorded", "birkhoff", "complete")
 
+# Below this many entries the dense product is the faster one (chorded Q=2,
+# one BLAS thread: 6.1 vs 6.6 us at N=180, 8.3 vs 6.5 us at N=200).
+DENSE_BELOW = 1 << 15
+
 
 def is_strongly_connected(adjacency):
-    """Exact check via strongly-connected-component decomposition."""
-    a = np.asarray(adjacency) > 0
-    ncomp, _ = connected_components(csr_matrix(a), directed=True, connection="strong")
+    """Exact check via strongly-connected-component decomposition of the
+    digraph of the positive entries of an array or a sparse array."""
+    a = adjacency if issparse(adjacency) else np.asarray(adjacency)
+    ncomp, _ = connected_components(csr_array(a > 0), directed=True, connection="strong")
     return ncomp == 1
 
 
 def mix(A, vectors):
     """Row-stochastic mixing: output i = sum_j a_ij * vector_j.
 
-    A is an N x N array or the CSR operator that `RoundCache.mixer` returns
-    for one; vectors is (N,) or (N, d).  One product serves both forms.
+    A is a round operator, an N x N array or a CSR array (`operator(k)`);
+    vectors is (N,) or (N, d).  One product serves both forms.
     """
     A = A if issparse(A) else np.asarray(A, dtype=float)
     V = np.asarray(vectors, dtype=float)
@@ -60,122 +65,40 @@ def mix(A, vectors):
     return A @ V
 
 
-# Below this many entries the dense product is the faster one (chorded Q=2,
-# one BLAS thread: 6.1 vs 6.6 us at N=180, 8.3 vs 6.5 us at N=200).
-DENSE_BELOW = 1 << 15
-# Past this share of nonzero entries CSR loses to the dense product (at
-# N=400 the two meet near 0.15, at N=2000 near 0.35).
-SPARSE_UP_TO = 0.1
-
-
-def _csr(A, up_to=1.0):
-    """The CSR form of the array A, None when more than the share up_to of
-    its entries are nonzero.  One scan of A decides and builds it."""
-    nz = A != 0
-    indptr = np.zeros(A.shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(nz, axis=1), out=indptr[1:])
-    if indptr[-1] > up_to * A.size:
-        return None
-    return csr_array((A[nz], np.nonzero(nz)[1], indptr), shape=A.shape)
-
-
-class _Round:
-    """What a RoundCache knows of one round matrix: a weak reference to it,
-    the times it was handed out for mixing, whether it mixes in CSR, its
-    CSR form and the supports of its positive entries, each made when
-    first needed."""
-
-    __slots__ = ("ref", "mixes", "sparse", "csr", "supports")
-
-    def __init__(self, A):
-        self.ref = weakref.ref(A)
-        self.mixes = 0
-        self.sparse = False
-        self.csr = None
-        self.supports = None
-
-
-class RoundCache:
-    """The mixing operator and the max-consensus row supports of each round
-    matrix a run meets, made once per matrix object.
-
-    The operator rule: a matrix below DENSE_BELOW entries, one handed out
-    for the first time, and one more than SPARSE_UP_TO nonzero are mixed
-    densely; any other is converted to CSR at its second mix and mixed in
-    CSR from then on.  A periodic schedule's Q matrices are each converted
-    once, and a matrix built anew every round (birkhoff) is never scanned
-    for mixing.  Max-consensus scans a matrix at first sight.
-
-    Entries are keyed by id(A) and count as known only while a weak
-    reference to A still returns A, so a freed matrix whose id a fresh one
-    reuses is treated as new.  No strong reference to a matrix is held, and
-    each new entry drops the entries of freed matrices.  A schedule must not
-    change a matrix in place once matrix(k) has returned it.
-    """
-
-    def __init__(self):
-        self._rounds = {}  # id(A) -> _Round
-
-    def _round(self, A):
-        hit = self._rounds.get(id(A))
-        if hit is None or hit.ref() is not A:
-            self._rounds = {key: r for key, r in self._rounds.items() if r.ref() is not None}
-            hit = self._rounds[id(A)] = _Round(A)
-        return hit
-
-    def mixer(self, A):
-        """A, or its CSR form where the operator rule picks CSR; either one
-        is mixed by `A @ V`."""
-        A = np.asarray(A, dtype=float)
-        if A.size < DENSE_BELOW:
-            return A
-        hit = self._round(A)
-        hit.mixes += 1
-        if hit.mixes == 2:
-            if hit.csr is None:
-                hit.csr = _csr(A, SPARSE_UP_TO)
-            hit.sparse = hit.csr is not None and hit.csr.nnz <= SPARSE_UP_TO * A.size
-        return hit.csr if hit.sparse else A
-
-    def supports(self, A):
-        """(cols, starts): the column indices of the positive entries of A,
-        row after row, and where each row's run starts.
-
-        Raises ValueError on a row with no positive entry (all zero or NaN).
-        """
-        hit = self._round(A)
-        if hit.supports is None:
-            if hit.csr is None:
-                hit.csr = _csr(A)
-            pos = hit.csr
-            if not np.all(pos.data > 0):  # a negative or NaN entry is stored
-                pos = _csr(A > 0)
-            counts = np.diff(pos.indptr)
-            if not counts.all():
-                i = int(np.argmin(counts))
-                raise ValueError(f"round matrix row {i} has no positive entry")
-            hit.supports = (pos.indices, pos.indptr[:-1])
-        return hit.supports
+def _operator(sched, k):
+    """Round k's mixing operator: sched.operator(k), or for a schedule given
+    only by its matrices (any object with N, Q, a and matrix(k)) the array
+    matrix(k) as given."""
+    op = getattr(sched, "operator", None)
+    return op(k) if op is not None else np.asarray(sched.matrix(k), dtype=float)
 
 
 @dataclass(frozen=True)
 class GraphSchedule:
-    """Deterministic map from round index to an N x N doubly-stochastic matrix."""
+    """Deterministic map from round index to an N x N doubly-stochastic
+    round operator: an array, or a CSR array that stores exactly its
+    positive entries, in column order within each row."""
 
     N: int
     Q: int
     a: float
-    _matrix_fn: object = field(repr=False)
+    _matrix_fn: object = field(repr=False)  # k -> round k's operator
 
-    def matrix(self, k):
+    def operator(self, k):
+        """Round k's operator, the form in which a run mixes it."""
         if k < 0:
             raise ValueError("round index must be nonnegative")
         return self._matrix_fn(k)
 
+    def matrix(self, k):
+        """Round k as an N x N array, made on request for a CSR round."""
+        A = self.operator(k)
+        return A.toarray() if issparse(A) else A
+
     @staticmethod
     def from_cycle(matrices, Q=None, a=0.0):
-        """Schedule cycling through an explicit list of matrices."""
-        mats = [np.asarray(M, dtype=float) for M in matrices]
+        """Schedule cycling through an explicit list of round operators."""
+        mats = [M if issparse(M) else np.asarray(M, dtype=float) for M in matrices]
         N = mats[0].shape[0]
         return GraphSchedule(
             N=N,
@@ -183,6 +106,26 @@ class GraphSchedule:
             a=a,
             _matrix_fn=lambda k: mats[k % len(mats)],
         )
+
+
+def _build_rounds(N, count, rows, cols, vals):
+    """(operators, lowest entry) of `count` rounds stacked row-wise: entry
+    (i, j) of round r sums the vals at the cells (rows, cols) = (r*N + i, j)
+    in the order given, as np.bincount adds them.  A round of fewer than
+    DENSE_BELOW entries is an N x N array, any other a CSR array made in one
+    sort of the cells."""
+    keys = rows * N + cols
+    if N * N < DENSE_BELOW:
+        flat = np.bincount(keys, weights=vals, minlength=count * N * N)
+        return list(flat.reshape(count, N, N)), flat[keys].min()
+    cells, at = np.unique(keys, return_inverse=True)
+    data = np.bincount(at, weights=vals)
+    cols = cells % N
+    starts = np.searchsorted(cells, np.arange(count * N + 1) * N)  # of each stacked row
+    rounds = (starts[r * N : (r + 1) * N + 1] for r in range(count))
+    return [
+        csr_array((data[p[0] : p[-1]], cols[p[0] : p[-1]], p - p[0]), shape=(N, N)) for p in rounds
+    ], data.min()
 
 
 def _ring_rounds(N, Q):
@@ -200,26 +143,27 @@ def _ring_rounds(N, Q):
 
 
 def _involutions(N, Q, a, edges, w, rounds):
-    """Q matrices, each the identity plus w * (e_ij + e_ji - e_ii - e_jj) for
-    every edge (i, j) of its round.  Raises ValueError where a built entry
-    falls below the floor a, which only a self-loop can: a node's edges
-    weigh 1 - a or more in one round.  Entries accumulate edge by edge, i
-    then j, the order that fixes their bits."""
-    rounds, ends, w = np.repeat(rounds, 2), edges.ravel(), np.repeat(w, 2)
-    touched = (rounds, ends, edges[:, ::-1].ravel())
-    mats = np.zeros((Q, N, N))
-    diag = (slice(None), np.arange(N), np.arange(N))
-    mats[diag] = 1.0
-    np.add.at(mats, (rounds, ends, ends), -w)
-    np.add.at(mats, touched, w)
-    # the off-diagonal entries that edges touch are the positive ones
-    low = min(mats[diag].min(), mats[touched].min())
+    """Q round operators, each the identity plus w * (e_ij + e_ji - e_ii -
+    e_jj) for every edge (i, j) of its round.  Raises ValueError where a
+    built entry falls below the floor a, which only a self-loop can: a
+    node's edges weigh 1 - a or more in one round.  Entries accumulate edge
+    by edge, i then j, the order that fixes their bits."""
+    ends, w = edges.ravel(), np.repeat(w, 2)
+    rows = np.repeat(rounds, 2) * N + ends
+    diag = np.arange(Q * N)  # the self-loops start at 1
+    ops, low = _build_rounds(
+        N,
+        Q,
+        np.concatenate([diag, rows, rows]),
+        np.concatenate([diag % N, ends, edges[:, ::-1].ravel()]),
+        np.concatenate([np.ones(Q * N), -w, w]),
+    )
     if low < a:
         raise ValueError(
             f"a self-loop falls to {float(low)!r}, below the floor a = {a:.6g}: a node's edges "
             f"weigh at or above 1 - a = {1.0 - a:.6g} in one round (raise N or Q, or lower a)"
         )
-    return list(mats)
+    return ops
 
 
 def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
@@ -271,13 +215,12 @@ def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
         return GraphSchedule.from_cycle(_involutions(N, Q, a, edges, w, rounds), Q, a)
 
     def on_cycle(w):
-        """a*I plus weight w on the cyclic permutation's entries (i+1, i)."""
-        A = np.diag(np.full(N, a))
-        A[nxt, ring] = w
-        return A
+        """Cells and weights of a*I plus w on the cyclic permutation's
+        entries (i+1, i)."""
+        return np.concatenate([ring, nxt]), np.concatenate([ring, ring]), np.array([a, w]).repeat(N)
 
     if family != "birkhoff":  # ring, and round-robin with Q = 1
-        return GraphSchedule.from_cycle([on_cycle(1.0 - a)], Q, a)
+        return GraphSchedule.from_cycle(_build_rounds(N, 1, *on_cycle(1.0 - a))[0], Q, a)
 
     # birkhoff: a*I + wc*P_cycle + wr*P_random(k); cycle term keeps every
     # round strongly connected, random term varies the topology
@@ -285,14 +228,14 @@ def make_schedule(N, Q, a=0.1, seed=0, family="ring"):
     wr = 1.0 - a - wc
     if wc < a:
         raise ValueError("birkhoff family needs a <= 1/3 after clipping")
-    base = on_cycle(wc)
+    rows, cols, vals = on_cycle(wc)
+    cols, vals = np.concatenate([cols, ring]), np.concatenate([vals, np.full(N, wr)])
 
-    def birkhoff_matrix(k):
-        A = base.copy()
-        A[np.random.default_rng([seed, k]).permutation(N), ring] += wr
-        return A
+    def birkhoff_round(k):
+        perm = np.random.default_rng([seed, k]).permutation(N)
+        return _build_rounds(N, 1, np.concatenate([rows, perm]), cols, vals)[0][0]
 
-    return GraphSchedule(N, Q, a, birkhoff_matrix)
+    return GraphSchedule(N, Q, a, birkhoff_round)
 
 
 @dataclass(frozen=True)
@@ -316,8 +259,9 @@ class ValidationReport:
 
 def validate_schedule(sched, horizon):
     """Check double stochasticity, the weight floor, and Q-window strong
-    connectivity over the given horizon of rounds, in one pass that keeps
-    the positive-entry masks of the last Q rounds only."""
+    connectivity over the given horizon of rounds, in one pass over the
+    round operators that keeps the positive patterns of the last Q rounds
+    only; a CSR round costs O(nnz)."""
     if horizon < sched.Q:
         raise ValueError("horizon must cover at least one window")
     max_row = 0.0
@@ -326,15 +270,16 @@ def validate_schedule(sched, horizon):
     first_bad = -1
     window = deque(maxlen=sched.Q)
     for k in range(horizon):
-        A = sched.matrix(k)
+        A = _operator(sched, k)
         max_row = max(max_row, float(np.abs(A.sum(axis=1) - 1.0).max()))
         max_col = max(max_col, float(np.abs(A.sum(axis=0) - 1.0).max()))
         window.append(A > 0)
-        nz = A[window[-1]]
-        if np.any(np.diag(A) < sched.a) or (nz.size and nz.min() < sched.a):
+        vals = A.data if issparse(A) else A
+        nz = vals[vals > 0]
+        if np.any(A.diagonal() < sched.a) or (nz.size and nz.min() < sched.a):
             floor_ok = False
         if first_bad < 0 and k + 1 >= sched.Q:
-            if not is_strongly_connected(reduce(np.logical_or, window)):
+            if not is_strongly_connected(sum(window)):
                 first_bad = k + 1 - sched.Q
     return ValidationReport(
         horizon=horizon,

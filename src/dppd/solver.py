@@ -32,7 +32,7 @@ import numpy as np
 from scipy import stats
 
 from .functions import Box, NonnegBall, Scaled, Sum, interval_of
-from .graphs import RoundCache, mix
+from .graphs import _operator, mix
 from .proxops import ProxError, ProxQuery, flatten_composite, neglog_prox_root, prox_solve
 
 __all__ = [
@@ -420,15 +420,13 @@ def _start(p, U0):
 def _rounds(p, sched, cfg):
     """(k, alpha_k, A_k) for the rounds k < cfg.K of a synchronous method.
 
-    A_k mixes by `A_k @ V`: it is sched.matrix(k) itself, or its CSR form
-    where the run's one RoundCache picks CSR (a large sparse matrix, from
-    its second round on).  Schedules below the cache's size threshold, the
-    paper's N = 100 included, keep every bit of the dense product.
+    A_k is the schedule's round-k operator, mixed by `A_k @ V`: the dense
+    array below the schedule's size threshold (the paper's N = 100
+    included), otherwise the CSR array the schedule built from its edges.
     """
     if sched.N != p.N:
         raise ValueError("schedule size does not match agent count")
-    rounds = RoundCache()
-    return ((k, cfg.stepsize.alpha(k), rounds.mixer(sched.matrix(k))) for k in range(cfg.K))
+    return ((k, cfg.stepsize.alpha(k), _operator(sched, k)) for k in range(cfg.K))
 
 
 def _spread(a):

@@ -3,12 +3,14 @@ certification, consensus primitives, and assembled radius soundness."""
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import dppd
 from dppd import (
     Affine,
     Box,
     GraphSchedule,
+    NonnegBall,
     Problem,
     Quadratic,
     SlaterError,
@@ -22,7 +24,6 @@ from dppd import (
     max_consensus_round,
     mix,
 )
-from dppd import graphs
 from dppd.dualbound import _local_dual_value
 from dppd.functions import DomainError, NegLog, Scaled, Sum, constant
 from dppd.graphs import FAMILIES
@@ -153,14 +154,10 @@ EQUIVALENCE_SCHEDULES = {
 @pytest.mark.parametrize("k0", [0, 3])
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SCHEDULES))
-def test_max_consensus_matches_row_loop_step_by_step(name, m, k0, monkeypatch):
+def test_max_consensus_matches_row_loop_step_by_step(name, m, k0):
     # every intermediate state, bit for bit: signed zeros compete for the
     # max and one NaN spreads from agent 2 in the last column
     s = EQUIVALENCE_SCHEDULES[name]()
-    if name == "fresh":
-        # all matrices share one id, as a freed matrix and the next round's
-        # can: only the round cache's weak reference tells them apart
-        monkeypatch.setattr(graphs, "id", lambda obj: 0, raising=False)
     rng = np.random.default_rng([m, k0])
     signed_zeros = rng.choice([-0.0, 0.0, -1.5, -0.25], size=(s.N, m))
     with_nan = signed_zeros.copy()
@@ -171,6 +168,20 @@ def test_max_consensus_matches_row_loop_step_by_step(name, m, k0, monkeypatch):
             ref = _max_step_loop(s.matrix(k0 + steps - 1), ref)
             out = max_consensus_round(s, k0, vals, steps)
             assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), steps
+
+
+@pytest.mark.parametrize("family", ["chorded", "birkhoff"])
+def test_max_consensus_on_csr_rounds_matches_the_same_rounds_as_arrays(family):
+    # past the size threshold a step reads the supports of the schedule's
+    # CSR operator; the same rounds handed out as arrays are scanned
+    s = make_schedule(N=190, Q=2, a=0.05, seed=4, family=family)
+    as_arrays = GraphSchedule(N=s.N, Q=s.Q, a=s.a, _matrix_fn=s.matrix)
+    vals = np.random.default_rng(4).choice([-0.0, 0.0, -1.5, -0.25], size=(s.N, 2))
+    vals[2, -1] = np.nan
+    for steps in (1, 2, 7, 40):
+        out = max_consensus_round(s, 3, vals, steps)
+        ref = max_consensus_round(as_arrays, 3, vals, steps)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), steps
 
 
 @pytest.mark.parametrize("row", [0.0, np.nan], ids=["zero-row", "nan-row"])
@@ -285,6 +296,59 @@ def test_local_dual_value_log_term_on_interval_reaching_minus_one_raises():
         local_dual_value(f, g, mu, X0)
     with pytest.raises(DomainError):
         _local_dual_value(f, g, mu, X0)
+
+
+def _box_minimum(obj, X0):
+    """Bounded numerical minimum of obj over the box X0, the reference."""
+    res = minimize(lambda x: obj.value(x), (X0.lo + X0.hi) / 2, jac=obj.grad,
+                   method="L-BFGS-B", bounds=list(zip(X0.lo, X0.hi)), tol=1e-15)
+    return res.fun
+
+
+def test_local_dual_value_diagonal_quadratic_on_a_box_matches_bounded_minimize():
+    # zero and positive curvatures, and minimizers below, inside and above
+    # the box in each coordinate
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        d = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.1, 3.0, n))
+        f = Quadratic(np.diag(d), rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0))
+        g = VectorConstraint((Affine(rng.uniform(-1.0, 1.0, n), -1.0),))
+        lo = rng.uniform(-1.0, 0.5, n)
+        X0 = Box(lo, lo + rng.uniform(0.1, 2.0, n))
+        mu = rng.uniform(0.0, 2.0, 1)
+        obj = Sum((f, Scaled(g.components[0], float(mu[0]))))
+        assert _local_dual_value(f, g, mu, X0) == pytest.approx(_box_minimum(obj, X0), rel=0.0, abs=1e-10)
+
+
+def test_local_dual_value_raises_on_unsupported_shapes_outside_the_set():
+    g = VectorConstraint((Affine(np.ones(2), -1.0),))
+    mu = np.array([0.5])
+    box = Box(np.zeros(2), np.ones(2))
+    outside = Quadratic(np.array([[1.0, 0.5], [0.5, 1.0]]), np.ones(2))  # minimizer below the box
+    with pytest.raises(RuntimeError, match="minimizer outside the set"):
+        _local_dual_value(outside, g, mu, box)
+    with pytest.raises(RuntimeError, match="minimizer outside the set"):
+        _local_dual_value(Quadratic(np.eye(2), np.ones(2)), g, mu, NonnegBall(1.0, dim_=2))
+    with pytest.raises(RuntimeError, match="non-interval set"):
+        _local_dual_value(Sum((Quadratic(np.eye(2), np.ones(2)), NegLog(1.0))), g, mu, box)
+
+
+def test_dual_radius_on_a_box_with_diagonal_quadratics():
+    # 3 agents, f_i = |x|^2/2 + (1,1).x and g_i = (1,1).x - 1 on [0,1]^2:
+    # every local minimizer is clipped to the corner 0
+    N = 3
+    f = tuple(Quadratic(np.eye(2), np.ones(2)) for _ in range(N))
+    g = tuple(VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N))
+    p = Problem(f=f, g=g, X0=Box(np.zeros(2), np.ones(2)))
+    s = make_schedule(N=N, Q=1, a=0.2, seed=0, family="ring")
+    for mu in (np.zeros(1), np.array([0.7])):
+        for fi, gi in zip(f, g):
+            obj = Sum((fi, Scaled(gi.components[0], float(mu[0]))))
+            assert _local_dual_value(fi, gi, mu, p.X0) == pytest.approx(_box_minimum(obj, p.X0), rel=0.0, abs=1e-10)
+        res = compute_dual_radius(p, s, StepsizeSchedule(), K=200, mu_check=mu)
+        assert res.q_min == pytest.approx(_box_minimum(obj, p.X0), rel=0.0, abs=1e-10)
+        assert np.isfinite(res.U0) and res.U0 >= 0.0  # the optimal multiplier is 0
 
 
 def test_assemble_bound_guards():

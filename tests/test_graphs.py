@@ -1,17 +1,17 @@
 """Graph schedules: double stochasticity, floors, window connectivity."""
 
+import tracemalloc
 import weakref
-from unittest import mock
 
 import graphs_reference
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array, issparse
 
 from dppd import GraphSchedule, make_schedule, mix, validate_schedule
-from dppd import graphs
-from dppd.graphs import DENSE_BELOW, RoundCache, is_strongly_connected
+from dppd.graphs import DENSE_BELOW, is_strongly_connected
 
 FAMILIES = ("ring", "round-robin", "chorded", "birkhoff", "complete")
 
@@ -265,7 +265,7 @@ def test_mix_dimension_mismatch():
             mix(np.eye(3), vectors)
 
 
-# ------------------------------------------------------------ round cache
+# --------------------------------------------------------- round operators
 
 
 # N = 182 is the first size at or above the dense-product threshold
@@ -282,52 +282,58 @@ _SIDES = st.one_of(st.integers(2, 24), st.integers(182, 240))
 @example(family="birkhoff", N=190, Q=1, seed=0)
 @example(family="complete", N=182, Q=3, seed=0)
 @settings(max_examples=60)
-def test_round_cache_operator_holds_the_matrix_and_its_product(family, N, Q, seed):
+def test_operator_holds_the_matrix_and_its_product(family, N, Q, seed):
     assert 181**2 < DENSE_BELOW <= 182**2
+    a = min(0.05, 1.0 / N)
     try:
-        s = make_schedule(N=N, Q=Q, a=min(0.05, 1.0 / N), seed=seed, family=family)
+        s = make_schedule(N=N, Q=Q, a=a, seed=seed, family=family)
     except ValueError:
         return  # family/Q combination unsupported at this size
-    sparse_family = N * N >= DENSE_BELOW and family not in ("birkhoff", "complete")
+    ref = graphs_reference.make_schedule(N=N, Q=Q, a=a, seed=seed, family=family)
     rng = np.random.default_rng(seed)
-    rounds, handed = RoundCache(), []
-    with mock.patch.object(graphs, "_csr", wraps=graphs._csr) as scans:
-        for k in range(2 * Q + 1):
-            A = s.matrix(k)
-            op = rounds.mixer(A)
-            # CSR from the second time the same matrix object is handed out
-            assert (op is not A) == (sparse_family and any(A is B for B in handed))
-            handed.append(A)
-            if op is A:
-                continue
-            assert op.nnz == np.count_nonzero(A)
-            assert np.array_equal(op.toarray().view(np.uint64), A.view(np.uint64))
-            X = rng.normal(size=(N, 2))
-            scale = np.abs(A) @ np.abs(X)
-            assert np.all(np.abs(op @ X - A @ X) <= 1e-15 * scale)
-            assert np.all(np.abs(op @ X[:, 0] - A @ X[:, 0]) <= 1e-15 * scale[:, 0])
-    # each distinct periodic round matrix is scanned once (complete to find
-    # it dense), a birkhoff round never
-    scanned = N * N >= DENSE_BELOW and family != "birkhoff"
-    assert scans.call_count == (len({id(B) for B in handed}) if scanned else 0)
+    for k in range(2 * Q + 1):
+        op, A = s.operator(k), s.matrix(k)
+        # CSR from the threshold on, for every family but complete
+        assert issparse(op) == (N * N >= DENSE_BELOW and family != "complete")
+        dense = op.toarray() if issparse(op) else op
+        assert np.array_equal(dense.view(np.uint64), A.view(np.uint64))
+        assert np.array_equal(A.view(np.uint64), ref.matrix(k).view(np.uint64))
+        X = rng.normal(size=(N, 2))
+        scale = np.abs(A) @ np.abs(X)
+        assert np.all(np.abs(op @ X - A @ X) <= 1e-15 * scale)
+        assert np.all(np.abs(op @ X[:, 0] - A @ X[:, 0]) <= 1e-15 * scale[:, 0])
 
 
-def test_round_cache_converts_at_the_second_mix_and_keeps_dense_ones_dense():
-    rounds = RoundCache()
-    ring = make_schedule(N=200, Q=1, a=0.1, seed=0, family="ring").matrix(0)
-    complete = make_schedule(N=200, Q=1, a=0.005, seed=0, family="complete").matrix(0)
-    assert rounds.mixer(ring) is ring
-    op = rounds.mixer(ring)
-    assert op is not ring and op.nnz == 400 and rounds.mixer(ring) is op
-    assert all(rounds.mixer(complete) is complete for _ in range(3))
-    small = np.eye(181)
-    assert all(rounds.mixer(small) is small for _ in range(3))
-    # mix takes the cache's operator as it takes the array
+def test_operator_is_made_once_per_periodic_round_and_mixes_as_the_matrix():
+    ring = make_schedule(N=200, Q=1, a=0.1, seed=0, family="ring")
+    op = ring.operator(0)
+    assert issparse(op) and op.nnz == 400 and ring.operator(3) is op
+    # positive entries only, in column order within each row
+    assert np.all(op.data > 0) and op.has_sorted_indices
+    complete = make_schedule(N=200, Q=1, a=0.005, seed=0, family="complete")
+    assert not issparse(complete.operator(0))
+    assert not issparse(make_schedule(N=181, Q=1, a=0.1, seed=0, family="ring").operator(0))
+    # mix takes the CSR operator as it takes the array
     V = np.random.default_rng(0).normal(size=(200, 3))
-    assert np.allclose(mix(op, V), mix(ring, V), rtol=0.0, atol=1e-15)
-    assert np.allclose(mix(op, V[:, 0]), ring @ V[:, 0], rtol=0.0, atol=1e-15)
+    assert np.allclose(mix(op, V), mix(ring.matrix(0), V), rtol=0.0, atol=1e-15)
+    assert np.allclose(mix(op, V[:, 0]), ring.matrix(0) @ V[:, 0], rtol=0.0, atol=1e-15)
     with pytest.raises(ValueError, match="vector count"):
         mix(op, np.ones(199))
+
+
+def test_large_schedule_is_built_validated_and_mixed_without_a_dense_round():
+    # one dense round at N = 3000 is 72 MB; the CSR schedule, a four-round
+    # validation and one mix stay far below it together
+    N = 3000
+    tracemalloc.start()
+    try:
+        s = make_schedule(N=N, Q=2, a=0.1, seed=0, family="chorded")
+        assert validate_schedule(s, 4).ok
+        mix(s.operator(0), np.ones(N))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 # --------------------------------------------------------------- validation
@@ -339,6 +345,27 @@ def test_validate_reports_row_column_deviation():
     assert rep.max_row_dev == pytest.approx(0.1)
     assert rep.max_col_dev == pytest.approx(0.0, abs=1e-15)
     assert not rep.ok
+
+
+def _failing_rounds():
+    """Round lists that fail validation in each of its ways: row sums, the
+    floor on an entry and on a self-loop, and window connectivity."""
+    halves = make_schedule(N=4, Q=2, a=0.1, family="round-robin")
+    low = np.array([[0.97, 0.03, 0.0], [0.03, 0.5, 0.47], [0.0, 0.47, 0.53]])
+    return {
+        "rows": ([np.array([[0.9, 0.2], [0.1, 0.8]])], 1, 0.05),
+        "floor": ([low], 1, 0.05),
+        "self-loop": ([np.array([[0.0, 1.0], [1.0, 0.0]])], 1, 0.05),
+        "windows": ([np.eye(4), halves.matrix(0), halves.matrix(1)], 1, 0.1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_failing_rounds()))
+def test_validate_reports_csr_rounds_as_their_arrays(case):
+    mats, Q, a = _failing_rounds()[case]
+    dense = validate_schedule(GraphSchedule.from_cycle(mats, Q=Q, a=a), 6)
+    sparse = validate_schedule(GraphSchedule.from_cycle([csr_array(M) for M in mats], Q=Q, a=a), 6)
+    assert sparse == dense and not dense.ok
 
 
 def test_validate_holds_at_most_q_plus_one_rounds():
