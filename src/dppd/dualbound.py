@@ -15,13 +15,16 @@ Three phases, all barrier-synchronized on the same graph schedule:
 A max-consensus step is one gather of the in-neighbor values and one
 segmented max over them, O(nnz) for a round with nnz positive entries.
 Those entries, the row supports, are the row pointers and column indices of
-the round's CSR operator as the schedule built it; a round given as an
-array (a small schedule, or one given only by its matrices) is scanned for
-its positive entries at each step.  The averaging step of certification
-mixes through the same operator.
+the round's CSR operator as the schedule built it (positive entries only);
+an array round, or a CSR round that stores any other entry, is scanned for
+its positive entries.  A sweep scans an operator once while it recurs within
+Q rounds, as every round of a periodic schedule does.  The averaging step
+of certification mixes through the same operators.
 """
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 from scipy.sparse import issparse
@@ -79,21 +82,37 @@ def find_slater(p, sched, stepsize, K):
     return x_check
 
 
-def _max_step(A, s):
-    """Componentwise max over the in-neighbors of each agent, the positive
-    entries of its row of the round operator A.
+def _supports(A):
+    """(column indices, row starts) of the positive entries of round
+    operator A, row by row: a CSR operator's own index arrays when it
+    stores positive entries only, as a schedule's do, else those of A > 0.
 
-    Raises ValueError on an array row with no positive entry (all zero or
-    NaN); a schedule's CSR round stores exactly its positive entries, its
-    self-loops among them.
+    Raises ValueError on a row with no positive entry (all zero, negative
+    or NaN).
     """
-    if issparse(A):
-        return np.maximum.reduceat(s[A.indices], A.indptr[:-1], axis=0)
-    rows, cols = np.divmod(np.flatnonzero(A > 0), len(A))
-    counts = np.bincount(rows, minlength=len(A))
+    if issparse(A) and (A.data > 0).all():
+        cols, counts = A.indices, np.diff(A.indptr)
+    else:
+        rows, cols = (A > 0).nonzero()
+        counts = np.bincount(rows, minlength=A.shape[0])
     if not counts.all():
         raise ValueError(f"round matrix row {int(np.argmin(counts))} has no positive entry")
-    return np.maximum.reduceat(s[cols], np.cumsum(counts) - counts, axis=0)
+    return cols, np.cumsum(counts) - counts
+
+
+def _sweep(sched, k0):
+    """(operator, column indices, row starts) of rounds k0, k0+1, ...; a
+    max-consensus step is np.maximum.reduceat(s[cols], starts).  An operator
+    met again within Q rounds, as every round of a periodic schedule is,
+    keeps the supports found at its first scan."""
+    recent = deque(maxlen=sched.Q)
+    for k in count(k0):
+        A = _operator(sched, k)
+        sup = next((sup for B, sup in recent if B is A), None)
+        if sup is None:
+            sup = _supports(A)
+            recent.append((A, sup))
+        yield A, *sup
 
 
 def max_consensus_round(sched, k0, s, steps):
@@ -102,13 +121,13 @@ def max_consensus_round(sched, k0, s, steps):
     schedule since max only selects existing values.
 
     Raises ValueError on a round matrix with a row that has no positive
-    entry (all zero or NaN).
+    entry (all zero, negative or NaN).
     """
     s = np.array(s, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
-    for t in range(steps):
-        s = _max_step(_operator(sched, k0 + t), s)
+    for _, cols, starts in islice(_sweep(sched, k0), steps):
+        s = np.maximum.reduceat(s[cols], starts, axis=0)
     return s
 
 
@@ -130,14 +149,12 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
         if np.all(z[0] < 0):
             return z[0].copy(), 0
         raise SlaterError("single-agent constraint value not negative")
-    k = 0
+    rounds = _sweep(sched, 0)
     for block in range(1, max_rounds + 1):
         s = z.copy()
-        for _ in range(sigma):
-            A = _operator(sched, k)
-            s = _max_step(A, s)
+        for A, cols, starts in islice(rounds, sigma):
+            s = np.maximum.reduceat(s[cols], starts, axis=0)
             z = A @ z
-            k += 1
         z_max = s[0]
         if np.all(z_max < 0):
             return z_max.copy(), block

@@ -66,18 +66,30 @@ def mix(A, vectors):
 
 
 def _operator(sched, k):
-    """Round k's mixing operator: sched.operator(k), or for a schedule given
-    only by its matrices (any object with N, Q, a and matrix(k)) the array
-    matrix(k) as given."""
+    """Round k's mixing operator: sched.operator(k), or for an object that
+    gives only matrices (N, Q, a and matrix(k), such as a wrapper around a
+    schedule) matrix(k) in the form the builder gives a round: the array
+    below DENSE_BELOW entries or with no zero entry, else the CSR array of
+    its nonzero entries.  A wrapped schedule's rounds thus mix with the bits
+    of its own operators."""
     op = getattr(sched, "operator", None)
-    return op(k) if op is not None else np.asarray(sched.matrix(k), dtype=float)
+    if op is not None:
+        return op(k)
+    M = np.asarray(sched.matrix(k), dtype=float)
+    flat = np.flatnonzero(M != 0) if M.size >= DENSE_BELOW else None
+    if flat is None or flat.size == M.size:
+        return M
+    rows, cols = np.divmod(flat, len(M))
+    starts = np.searchsorted(rows, np.arange(len(M) + 1))
+    return csr_array((M.ravel()[flat], cols, starts), shape=M.shape)
 
 
 @dataclass(frozen=True)
 class GraphSchedule:
     """Deterministic map from round index to an N x N doubly-stochastic
-    round operator: an array, or a CSR array that stores exactly its
-    positive entries, in column order within each row."""
+    round operator: an array or a CSR array, mixed as handed out.  The
+    builder's CSR rounds store exactly their positive entries, in column
+    order within each row."""
 
     N: int
     Q: int

@@ -4,6 +4,7 @@ certification, consensus primitives, and assembled radius soundness."""
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
 
 import dppd
 from dppd import (
@@ -196,6 +197,40 @@ def test_max_consensus_rejects_row_without_positive_entry(row):
     p = Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
     with pytest.raises(ValueError, match="row 1"):
         certify_negative(p, s, np.array([0.5]))
+
+
+@pytest.mark.parametrize("empty", [[0.0], []], ids=["stored-zero", "nothing-stored"])
+def test_max_consensus_reads_only_positive_entries_of_a_csr_round(empty):
+    # stored zero, negative and NaN entries are no in-neighbors, as in the
+    # array; a row that stores no positive entry is refused like an array row
+    data = [0.5, 0.0, 0.5, np.nan, -0.1, 1.1, 0.3, 0.7]
+    A = csr_array((data, [0, 1, 2, 0, 1, 2, 1, 2], [0, 3, 6, 8]), shape=(3, 3))
+    vals = np.array([[3.0, -1.0], [-2.0, 5.0], [1.0, 0.5]])
+    for steps in (1, 2, 3):
+        out = max_consensus_round(GraphSchedule.from_cycle([A]), 0, vals, steps)
+        ref = max_consensus_round(GraphSchedule.from_cycle([A.toarray()]), 0, vals, steps)
+        assert np.array_equal(out, ref), steps
+    B = csr_array((np.r_[0.5, 0.5, empty, 1.0], np.r_[0, 1, [0] * len(empty), 2], [0, 2, 2 + len(empty), 3 + len(empty)]), shape=(3, 3))
+    with pytest.raises(ValueError, match="row 1"):
+        max_consensus_round(GraphSchedule.from_cycle([B]), 0, vals, 1)
+
+
+def test_a_sweep_scans_each_round_of_a_periodic_schedule_once(monkeypatch, paper_problem):
+    # array rounds recur every Q rounds and keep their supports; a schedule
+    # that builds each round anew is scanned at every step
+    scanned = []
+    supports = dppd.dualbound._supports
+    monkeypatch.setattr(dppd.dualbound, "_supports", lambda A: scanned.append(A) or supports(A))
+    s = make_schedule(N=20, Q=2, a=0.1, seed=0, family="chorded")
+    max_consensus_round(s, 0, np.arange(20.0), 40)
+    assert len(scanned) == 2
+    scanned.clear()
+    s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
+    _, blocks = certify_negative(paper_problem, s, np.array([1.0]))
+    assert blocks > 1 and len(scanned) == 2
+    scanned.clear()
+    max_consensus_round(_fresh_schedule(6, 2), 0, np.arange(6.0), 10)
+    assert len(scanned) == 10
 
 
 # ------------------------------------------------------------------ certify

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import graphs_reference
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array, issparse
 
 from dppd import GraphSchedule, make_schedule, mix, validate_schedule
-from dppd.graphs import DENSE_BELOW, is_strongly_connected
+from dppd.graphs import DENSE_BELOW, _operator, is_strongly_connected
 
 FAMILIES = ("ring", "round-robin", "chorded", "birkhoff", "complete")
 
@@ -319,6 +320,23 @@ def test_operator_is_made_once_per_periodic_round_and_mixes_as_the_matrix():
     assert np.allclose(mix(op, V[:, 0]), ring.matrix(0) @ V[:, 0], rtol=0.0, atol=1e-15)
     with pytest.raises(ValueError, match="vector count"):
         mix(op, np.ones(199))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("N", [20, 200])
+def test_a_schedule_seen_only_through_its_matrices_mixes_in_its_operator_form(family, N):
+    # an object with N, Q, a and matrix(k) only, as a wrapper around a
+    # schedule: each round mixes in the form the builder gave it, storing
+    # the same entries, so its products keep their bits
+    s = make_schedule(N=N, Q=2, a=min(0.05, 1.0 / N), seed=2, family=family)
+    wrapped = SimpleNamespace(N=s.N, Q=s.Q, a=s.a, matrix=s.matrix)
+    X = np.random.default_rng(N).normal(size=(N, 3))
+    for k in range(3):
+        op, got = s.operator(k), _operator(wrapped, k)
+        assert issparse(got) == issparse(op)
+        if issparse(op):
+            assert np.array_equal(got.indptr, op.indptr) and np.array_equal(got.indices, op.indices)
+        assert np.array_equal((got @ X).view(np.uint64), (op @ X).view(np.uint64))
 
 
 def test_large_schedule_is_built_validated_and_mixed_without_a_dense_round():

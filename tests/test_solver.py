@@ -1,6 +1,7 @@
 """Solver rounds, traces, stepsizes, and run-level invariants."""
 
 import functools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -462,6 +463,22 @@ def test_sparse_mixing_stays_within_tolerance_of_dense(family, Q, kind):
         assert np.abs(tr.final_state.mu - ref.final_state.mu).max() <= 1e-12
         for col in TRACE_COLUMNS:
             assert np.abs(getattr(tr, col) - getattr(ref, col)).max() <= 1e-12, col
+
+
+def test_a_schedule_seen_only_through_its_matrices_runs_with_its_bits():
+    # a wrapper forwarding N, Q, a and matrix(k) only: past the threshold
+    # each round mixes as the schedule's own CSR operator, bit for bit
+    N = 300
+    p = dppd.build_paper_example(N=N, b=N / 20)
+    s = make_schedule(N=N, Q=2, a=0.05, seed=3, family="chorded")
+    wrapped = SimpleNamespace(N=s.N, Q=s.Q, a=s.a, matrix=s.matrix)
+    cfg = DppdConfig(K=30, U0=5.0, stride=7, f_star=0.0)
+    for solve in (run, run_csp_sg):
+        tr, ref = solve(p, wrapped, cfg), solve(p, s, cfg)
+        assert np.array_equal(tr.final_state.x, ref.final_state.x)
+        assert np.array_equal(tr.final_state.mu, ref.final_state.mu)
+        for col in TRACE_COLUMNS:
+            assert np.array_equal(getattr(tr, col), getattr(ref, col), equal_nan=True), col
 
 
 def test_schedule_size_mismatch_rejected():
