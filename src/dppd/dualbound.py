@@ -8,9 +8,9 @@ Three phases, all barrier-synchronized on the same graph schedule:
      sum) and finite-time max-consensus sweeps,
   3. agree on max_i f_i and min_i q_i by one further max-consensus sweep
      over both columns and assemble the radius N*(f_max - q_min)/gamma_lower.
-     Each local dual value q_i is exact: f_i + mu.g_i flattens to a
-     registry composite whose minimizer has a closed form (on an interval,
-     or a diagonal quadratic on a box).
+     Each local dual value q_i is exact, read from the compiled plan
+     (`solver.compile_plan`), where f_i + mu.g_i has a closed-form minimizer;
+     a problem that does not compile raises.
 
 A max-consensus step is one gather of the in-neighbor values and one
 segmented max over them, O(nnz) for a round with nnz positive entries.
@@ -23,16 +23,15 @@ of certification mixes through the same operators.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count, islice
 
 import numpy as np
 from scipy.sparse import issparse
 
-from .functions import Box, DomainError, Scaled, Sum, VectorConstraint, constant, interval_of
+from .functions import Sum, VectorConstraint, constant
 from .graphs import _operator
-from .proxops import flatten_composite, neglog_prox_root
-from .solver import DppdConfig, _slope, run
+from .solver import DppdConfig, compile_plan, run
 
 __all__ = [
     "SlaterError",
@@ -57,8 +56,8 @@ class DualBoundResult:
     f_max: float
     q_min: float
     U0: float
-    slater_rounds: int
-    certify_blocks: int
+    slater_rounds: int = 0
+    certify_blocks: int = 0
 
 
 def find_slater(p, sched, stepsize, K):
@@ -163,72 +162,27 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
     )
 
 
-def _local_dual_value(fi, gi, mu, X0):
-    """q_i(mu) = inf over X0 of f_i(x) + mu.g_i(x), which flattens to
-    p*x^2/2 + q*x - w*log(1+x) + r on an interval and to a quadratic on any
-    other set.
-
-    On an interval the slope p*x + q - w/(1+x) increases, so the minimizer
-    is lo if the slope is >= 0 there, hi if it is <= 0 there, and otherwise
-    the slope's root, clipped against rounding.  The log slope is taken only
-    when w != 0: without a log term the interval may reach x = -1.  On a box
-    a convex diagonal quadratic separates, and its minimizer is each
-    coordinate's own clipped to the box: -q_j/p_j, or for p_j = 0 the end
-    that the sign of q_j picks.  Any other quadratic is accepted only with
-    its unconstrained minimizer inside the set.
-    """
-    obj = Sum((fi,) + tuple(Scaled(c, float(m)) for c, m in zip(gi.components, mu)))
-    flat = flatten_composite(obj)
-    iv = interval_of(X0)
-    if iv is None:
-        if flat is None or flat[3] != 0.0:
-            raise RuntimeError("cannot minimize this composite on a non-interval set")
-        P, q, r, _ = flat
-        p = np.diag(P)
-        if isinstance(X0, Box) and np.all(p >= 0.0) and np.array_equal(P, np.diag(p)):
-            x_star = np.where(p > 0.0, -q / np.where(p > 0.0, p, 1.0), np.where(q > 0.0, -np.inf, np.inf))
-            x_star = np.clip(x_star, X0.lo, X0.hi)
-        else:
-            x_star = np.linalg.lstsq(P, -q, rcond=None)[0]
-            if not X0.contains(x_star):
-                raise RuntimeError("minimizer outside the set; unsupported shape")
-        return float(0.5 * x_star @ P @ x_star + q @ x_star) + r
-    p, q, w, (lo, hi) = float(flat[0][0, 0]), float(flat[1][0]), flat[3], iv
-    if w != 0.0 and lo <= -1.0:
-        raise DomainError(f"x={lo} outside domain x > -1")
-    if _slope(p, q, w or None, lo) >= 0.0:
-        x = lo
-    elif _slope(p, q, w or None, hi) <= 0.0:
-        x = hi
-    elif w == 0.0:
-        x = -q / p
-    elif p == 0.0:
-        x = w / q - 1.0
-    else:
-        x = neglog_prox_root(None, q, w, 0.0, 1.0 / p)
-    return obj.value(np.array([min(max(x, lo), hi)]))
-
-
-def assemble_bound(p, sched, x_check, z_check, mu_check=None, counts=(0, 0)):
+def assemble_bound(p, sched, x_check, z_check, mu_check=None):
     """Radius on the optimal dual set from the certified quantities.
 
     gamma_lower = min_l(-N * z_check_l); f_max and q_min come from one
     finite-time max-consensus sweep over the agents' local values f_i and
-    -q_i, as two independent columns.
+    -q_i, as two independent columns.  The local dual values q_i(mu_check)
+    come from the compiled plan; a problem that does not compile raises
+    ValueError naming why.
     """
     if np.any(z_check >= 0):
         raise ValueError("certified value must be componentwise negative")
-    if mu_check is None:
-        mu_check = np.zeros(p.m)
-    mu_check = np.atleast_1d(np.asarray(mu_check, dtype=float))
-    if np.any(mu_check < 0):
-        raise ValueError("dual probe must be componentwise nonnegative")
+    mu_check = np.zeros(p.m) if mu_check is None else np.atleast_1d(np.asarray(mu_check, dtype=float))
+    if mu_check.shape != (p.m,) or np.any(mu_check < 0):
+        raise ValueError(f"dual probe must be a nonnegative vector of length {p.m}, got {mu_check}")
+    plan, why = compile_plan(p)
+    if plan is None:
+        raise ValueError(f"no closed-form local dual values: {why}")
     N = p.N
     gamma_lower = float(np.min(-N * np.asarray(z_check)))
     f_vals = np.array([fi.value(x_check) for fi in p.f])
-    q_vals = np.array(
-        [_local_dual_value(fi, gi, mu_check, p.X0) for fi, gi in zip(p.f, p.g)]
-    )
+    q_vals = plan.local_minima(mu_check)
     sigma = (N - 1) * sched.Q
     agreed = max_consensus_round(sched, 0, np.column_stack([f_vals, -q_vals]), sigma)
     f_max = float(agreed[0, 0])
@@ -241,8 +195,6 @@ def assemble_bound(p, sched, x_check, z_check, mu_check=None, counts=(0, 0)):
         f_max=f_max,
         q_min=q_min,
         U0=U0,
-        slater_rounds=counts[0],
-        certify_blocks=counts[1],
     )
 
 
@@ -254,4 +206,5 @@ def compute_dual_radius(p, sched, stepsize, K, mu_check=None, max_rounds=1000):
     """
     x_check = find_slater(p, sched, stepsize, K)
     z_check, blocks = certify_negative(p, sched, x_check, max_rounds=max_rounds)
-    return assemble_bound(p, sched, x_check, z_check, mu_check, counts=(K, blocks))
+    res = assemble_bound(p, sched, x_check, z_check, mu_check)
+    return replace(res, slater_rounds=K, certify_blocks=blocks)

@@ -283,11 +283,12 @@ def validate_schedule(sched, horizon):
     window = deque(maxlen=sched.Q)
     for k in range(horizon):
         A = _operator(sched, k)
-        max_row = max(max_row, float(np.abs(A.sum(axis=1) - 1.0).max()))
-        max_col = max(max_col, float(np.abs(A.sum(axis=0) - 1.0).max()))
+        # np.maximum keeps a NaN deviation, where max() would drop it
+        max_row = float(np.maximum(max_row, np.abs(A.sum(axis=1) - 1.0).max()))
+        max_col = float(np.maximum(max_col, np.abs(A.sum(axis=0) - 1.0).max()))
         window.append(A > 0)
         vals = A.data if issparse(A) else A
-        nz = vals[vals > 0]
+        nz = vals[vals != 0]
         if np.any(A.diagonal() < sched.a) or (nz.size and nz.min() < sched.a):
             floor_ok = False
         if first_bad < 0 and k + 1 >= sched.Q:

@@ -15,7 +15,8 @@ in the paper's order (mix, prox, dual projection), and the Lagrangian at
 the averages is a few flops.  On n == 1 leaving the zero terms out changes
 no bit of the trajectory; on n >= 2 the prox divides where the per-agent
 path solves I + alpha*P, so the bits move (by about 1e-16).  The plan also
-holds the comparator's round (`_Plan.sg_step`).  Everything else runs
+holds the comparator's round (`_Plan.sg_step`) and the dual-radius
+protocol's local dual values (`_Plan.local_minima`).  Everything else runs
 through the generic per-agent prox ladder, `dppd_round`, in the same loop,
 and the trace records which engine ran and why.
 
@@ -234,6 +235,7 @@ class _Plan:
     pf: np.ndarray
     qf: np.ndarray
     wf: np.ndarray
+    rf: np.ndarray
     pg: np.ndarray | None
     qg: np.ndarray | None
     wg: np.ndarray | None
@@ -254,12 +256,15 @@ class _Plan:
         t = muhat * col
         return base + (t if self.m == 1 else t.sum(axis=1))
 
-    def _dual_step(self, x, muhat, alpha, U0):
-        """The projected dual step from muhat along g at the points x."""
+    def _g_values(self, x):
+        """Each agent's constraint values at its point: (N,) or (N, m)."""
         xx = x if self.m == 1 else x[:, None]
         lx = None if self.wg is None else np.log1p(xx)
-        gv = _poly(self.hpg, self.qg, self.wg, self.rg, xx, lx, self.n > 1)
-        mu_new = np.maximum(muhat + alpha * gv, 0.0)
+        return _poly(self.hpg, self.qg, self.wg, self.rg, xx, lx, self.n > 1)
+
+    def _dual_step(self, x, muhat, alpha, U0):
+        """The projected dual step from muhat along g at the points x."""
+        mu_new = np.maximum(muhat + alpha * self._g_values(x), 0.0)
         # a one-component dual is nonnegative, so it is its own norm
         nrm = mu_new if self.m == 1 else np.linalg.norm(mu_new, axis=1)
         over = nrm > U0
@@ -314,6 +319,30 @@ class _Plan:
         # the same bits as a one-term dot, which adds the product to +0.0
         dual = mu * g_tot + 0.0 if self.m == 1 else float(mu @ g_tot)
         return float(_poly(*self.f_total, x, lx, coords)) + dual, g_tot
+
+    def local_minima(self, mu):
+        """Local dual values q_i(mu) = min over the set of f_i + mu.g_i for a
+        probe mu (m,).  Each coordinate's slope p*x + q - w/(1+x) increases,
+        so its minimizer is lo where the slope is >= 0 there, hi where it is
+        <= 0 there, and otherwise the slope's root, clipped against rounding."""
+        muhat = mu[0] if self.m == 1 else mu
+        p = self._with_duals(self.pf, self.pg, muhat)
+        q = self._with_duals(self.qf, self.qg, muhat)
+        w = None if self.w_zero else self._with_duals(self.wf, self.wg, muhat)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = -q / p
+            if w is not None:
+                log_root = neglog_prox_root(None, q, w, 0.0, 1.0 / p)
+                root = np.where(w == 0.0, root, np.where(p == 0.0, w / q - 1.0, log_root))
+        x = np.where(_slope(p, q, w, self.lo) >= 0.0, self.lo,
+                     np.where(_slope(p, q, w, self.hi) <= 0.0, self.hi, root)).clip(self.lo, self.hi)
+        # f_i, then each mu_l*g_il added left to right, as a registry Sum does
+        pf, qf, wf = self.f_slope
+        lx = None if wf is None else np.log1p(x)
+        value = _poly(None if pf is None else 0.5 * pf, qf, wf, self.rf, x, lx, self.n > 1)
+        for mu_l, g_l in zip(mu, self._g_values(x).reshape(len(x), -1).T):
+            value = value + mu_l * g_l
+        return value
 
 
 def _quad_prox(xhat, p, q, alpha):
@@ -388,6 +417,7 @@ def compile_plan(p):
         pf=pf,
         qf=qf,
         wf=wf,
+        rf=rf,
         pg=pg,
         qg=qg,
         wg=wg,

@@ -25,10 +25,10 @@ from dppd import (
     max_consensus_round,
     mix,
 )
-from dppd.dualbound import _local_dual_value
 from dppd.functions import DomainError, NegLog, Scaled, Sum, constant
 from dppd.graphs import FAMILIES
 from dppd.oracle import brute_force_saddle
+from dppd.solver import compile_plan
 
 from conftest import random_small_instance
 from proxops_reference import local_dual_value
@@ -306,11 +306,19 @@ def _dual_value_case(rng, p_zero, w_zero, lo):
     return f, g, mu, Box(np.array([lo]), np.array([lo + rng.uniform(0.1, 2.0)]))
 
 
+def _plan_local_value(f, g, mu, X0):
+    """q(mu) of the one-agent problem (f, g) on X0, read from its plan."""
+    plan, why = compile_plan(Problem(f=(f,), g=(g,), X0=X0))
+    assert plan is not None, why
+    return float(plan.local_minima(np.asarray(mu, dtype=float))[0])
+
+
 @pytest.mark.parametrize("w_zero", [True, False], ids=["w=0", "w>0"])
 @pytest.mark.parametrize("p_zero", [True, False], ids=["p=0", "p>0"])
 def test_local_dual_value_matches_reference_bisection(p_zero, w_zero):
-    # the closed-form minimizer against a 1e-12 bisection on the composite's
-    # gradient; without a log term a fifth of the intervals start at x = -1
+    # the plan's closed-form minimizer against a 1e-12 bisection on the
+    # composite's gradient; without a log term a fifth of the intervals
+    # start at x = -1
     rng = np.random.default_rng(13)
     outcomes = set()
     for _ in range(400):
@@ -319,18 +327,25 @@ def test_local_dual_value_matches_reference_bisection(p_zero, w_zero):
         obj = Sum((f,) + tuple(Scaled(c, m) for c, m in zip(g.components, mu)))
         slope_lo, slope_hi = (float(obj.grad(e)[0]) for e in (X0.lo, X0.hi))
         outcomes.add("lo" if slope_lo >= 0 else "hi" if slope_hi <= 0 else "root")
-        value = _local_dual_value(f, g, mu, X0)
+        value = _plan_local_value(f, g, mu, X0)
         assert value == pytest.approx(local_dual_value(f, g, mu, X0), rel=0.0, abs=1e-12)
     # both endpoint outcomes, and an interior root wherever the slope can vanish
     assert outcomes == ({"lo", "hi"} if p_zero and w_zero else {"lo", "hi", "root"})
+
+
+def _one_agent_bound(f, g, X0):
+    """assemble_bound on the one-agent problem (f, g) on X0."""
+    p = Problem(f=(f,), g=(g,), X0=X0)
+    s = make_schedule(N=1, Q=1, a=0.5, seed=0, family="ring")
+    return assemble_bound(p, s, X0.project(np.ones(p.n)), np.array([-1.0] * p.m))
 
 
 def test_local_dual_value_log_term_on_interval_reaching_minus_one_raises():
     f, g, mu, X0 = _dual_value_case(np.random.default_rng(14), False, False, -1.0)
     with pytest.raises(DomainError):
         local_dual_value(f, g, mu, X0)
-    with pytest.raises(DomainError):
-        _local_dual_value(f, g, mu, X0)
+    with pytest.raises(ValueError, match="reaches x = -1, outside the log terms' domain"):
+        _one_agent_bound(f, g, X0)
 
 
 def _box_minimum(obj, X0):
@@ -353,20 +368,20 @@ def test_local_dual_value_diagonal_quadratic_on_a_box_matches_bounded_minimize()
         X0 = Box(lo, lo + rng.uniform(0.1, 2.0, n))
         mu = rng.uniform(0.0, 2.0, 1)
         obj = Sum((f, Scaled(g.components[0], float(mu[0]))))
-        assert _local_dual_value(f, g, mu, X0) == pytest.approx(_box_minimum(obj, X0), rel=0.0, abs=1e-10)
+        assert _plan_local_value(f, g, mu, X0) == pytest.approx(_box_minimum(obj, X0), rel=0.0, abs=1e-10)
 
 
-def test_local_dual_value_raises_on_unsupported_shapes_outside_the_set():
+def test_assemble_bound_raises_naming_why_the_problem_does_not_compile():
+    # a problem without a plan has no closed-form local dual values; the
+    # message names the reason as the trace's engine string does (the log
+    # term on an interval reaching -1 is the test above)
     g = VectorConstraint((Affine(np.ones(2), -1.0),))
-    mu = np.array([0.5])
     box = Box(np.zeros(2), np.ones(2))
-    outside = Quadratic(np.array([[1.0, 0.5], [0.5, 1.0]]), np.ones(2))  # minimizer below the box
-    with pytest.raises(RuntimeError, match="minimizer outside the set"):
-        _local_dual_value(outside, g, mu, box)
-    with pytest.raises(RuntimeError, match="minimizer outside the set"):
-        _local_dual_value(Quadratic(np.eye(2), np.ones(2)), g, mu, NonnegBall(1.0, dim_=2))
-    with pytest.raises(RuntimeError, match="non-interval set"):
-        _local_dual_value(Sum((Quadratic(np.eye(2), np.ones(2)), NegLog(1.0))), g, mu, box)
+    coupled = Quadratic(np.array([[1.0, 0.5], [0.5, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="agent 0: f has a non-diagonal quadratic"):
+        _one_agent_bound(coupled, g, box)
+    with pytest.raises(ValueError, match="the set is a NonnegBall, not a box"):
+        _one_agent_bound(Quadratic(np.eye(2), np.ones(2)), g, NonnegBall(1.0, dim_=2))
 
 
 def test_dual_radius_on_a_box_with_diagonal_quadratics():
@@ -377,10 +392,11 @@ def test_dual_radius_on_a_box_with_diagonal_quadratics():
     g = tuple(VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N))
     p = Problem(f=f, g=g, X0=Box(np.zeros(2), np.ones(2)))
     s = make_schedule(N=N, Q=1, a=0.2, seed=0, family="ring")
+    plan, _ = compile_plan(p)
     for mu in (np.zeros(1), np.array([0.7])):
-        for fi, gi in zip(f, g):
+        for fi, gi, q_i in zip(f, g, plan.local_minima(mu)):
             obj = Sum((fi, Scaled(gi.components[0], float(mu[0]))))
-            assert _local_dual_value(fi, gi, mu, p.X0) == pytest.approx(_box_minimum(obj, p.X0), rel=0.0, abs=1e-10)
+            assert q_i == pytest.approx(_box_minimum(obj, p.X0), rel=0.0, abs=1e-10)
         res = compute_dual_radius(p, s, StepsizeSchedule(), K=200, mu_check=mu)
         assert res.q_min == pytest.approx(_box_minimum(obj, p.X0), rel=0.0, abs=1e-10)
         assert np.isfinite(res.U0) and res.U0 >= 0.0  # the optimal multiplier is 0
@@ -393,6 +409,27 @@ def test_assemble_bound_guards():
         assemble_bound(p, s, np.zeros(1), np.array([0.0]))  # not negative
     with pytest.raises(ValueError):
         assemble_bound(p, s, np.zeros(1), np.array([-0.1]), mu_check=np.array([-1.0]))
+
+
+def test_assemble_bound_rejects_a_probe_of_the_wrong_length():
+    # m = 2: a probe with one or three components is refused, not matched
+    # to the components as far as it goes, by assemble_bound and through
+    # compute_dual_radius
+    N = 3
+    f = tuple(Quadratic(np.array([[1.0]]), np.array([-1.0])) for _ in range(N))
+    g = tuple(VectorConstraint((Affine(np.array([1.0]), -0.5), Affine(np.array([-1.0]), -2.0)))
+              for _ in range(N))
+    p = Problem(f=f, g=g, X0=Box(np.array([-1.0]), np.array([1.0])))
+    s = make_schedule(N=N, Q=1, a=0.2, seed=0, family="ring")
+    z_check = np.array([-1.0, -1.0])
+    ok = assemble_bound(p, s, np.zeros(1), z_check, mu_check=[2.0, 0.0])
+    # q_i(2, 0) = min over [-1, 1] of x^2/2 - x + 2*(x - 0.5), at x = -1
+    assert ok.q_min == pytest.approx(-1.5, abs=1e-15)
+    for probe in ([2.0], [2.0, 0.0, 7.0]):
+        with pytest.raises(ValueError, match="length 2"):
+            assemble_bound(p, s, np.zeros(1), z_check, mu_check=probe)
+        with pytest.raises(ValueError, match="length 2"):
+            compute_dual_radius(p, s, StepsizeSchedule(), K=50, mu_check=probe)
 
 
 def test_assemble_bound_benchmark_components(paper_problem):

@@ -365,6 +365,21 @@ def test_validate_reports_row_column_deviation():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("form", [np.asarray, csr_array], ids=["array", "csr"])
+def test_validate_reports_nan_and_negative_entries(form):
+    # a NaN entry gives a NaN deviation, which fails the report; a negative
+    # entry fails the floor even where every row and column sums to 1
+    I, P = np.eye(3), np.roll(np.eye(3), 1, axis=1)
+    with_nan = 0.5 * I + 0.5 * P
+    with_nan[0, 2] = np.nan
+    rep = validate_schedule(GraphSchedule.from_cycle([form(with_nan)], a=0.1), 2)
+    assert np.isnan(rep.max_row_dev) and np.isnan(rep.max_col_dev) and not rep.ok
+    signed = 0.5 * I + 0.6 * P - 0.1 * P.T
+    rep = validate_schedule(GraphSchedule.from_cycle([form(signed)], a=0.1), 2)
+    assert rep.max_row_dev <= 1e-12 and rep.max_col_dev <= 1e-12 and rep.windows_connected
+    assert not rep.floor_ok and not rep.ok
+
+
 def _failing_rounds():
     """Round lists that fail validation in each of its ways: row sums, the
     floor on an entry and on a self-loop, and window connectivity."""

@@ -230,6 +230,34 @@ def test_cli_run_comparator_solver(tmp_path, monkeypatch, capsys):
     assert "ergodic_eval_err" in cols
 
 
+def test_cli_run_slater_solver_reports_the_strictly_feasible_point(tmp_path, monkeypatch, capsys):
+    cfgfile = _write_scenario(tmp_path, SCENARIO_TEXT.replace("solver = dppd", "solver = slater"))
+    monkeypatch.setenv("DPPD_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["run", cfgfile]) == 0
+    summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    scen = load_scenario(cfgfile)
+    x_check = dppd.find_slater(scen.problem, scen.schedule, scen.config.stepsize, scen.config.K)
+    g = [float(v) for v in summary["constraint_sum"].split()]
+    assert [float(v) for v in summary["x_check"].split()] == pytest.approx(x_check, rel=1e-11)
+    assert g == pytest.approx(scen.problem.constraint(x_check), rel=1e-11) and max(g) < 0
+    assert (tmp_path / "out" / "demo.csv.summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda t: t.replace("U0 = 5.0", "source = nope"), "unknown dual radius source 'nope'"),
+        (lambda t: t + "\n[stepsize]\nrule = inv-pow\npower = 1.5\n", "[stepsize] inv-pow exponent"),
+    ],
+    ids=["dual-source", "stepsize"],
+)
+def test_cli_run_bad_dual_source_or_stepsize_exits_2(tmp_path, monkeypatch, capsys, mangle, message):
+    monkeypatch.setenv("DPPD_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["run", _write_scenario(tmp_path, mangle(SCENARIO_TEXT))]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_validate_reports_schedule_health(tmp_path, capsys):
     cfgfile = _write_scenario(tmp_path)
     assert main(["validate", cfgfile, "--rounds", "8"]) == 0
