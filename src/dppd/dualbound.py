@@ -10,16 +10,16 @@ Three phases, all barrier-synchronized on the same graph schedule:
      over both columns and assemble the radius N*(f_max - q_min)/gamma_lower.
      Each local dual value q_i is exact, read from the compiled plan
      (`solver.compile_plan`), where f_i + mu.g_i has a closed-form minimizer;
-     a problem that does not compile raises.
+     a problem that does not compile raises there.  The dual probe's shape
+     is checked before phase 1.
 
 A max-consensus step is one gather of the in-neighbor values and one
 segmented max over them, O(nnz) for a round with nnz positive entries.
-Those entries, the row supports, are the row pointers and column indices of
-the round's CSR operator as the schedule built it (positive entries only);
-an array round, or a CSR round that stores any other entry, is scanned for
-its positive entries.  A sweep scans an operator once while it recurs within
-Q rounds, as every round of a periodic schedule does.  The averaging step
-of certification mixes through the same operators.
+Those entries, the row supports, come from one scan of the round's operator
+for its positive entries, A > 0, whether the operator is an array or CSR.
+A sweep scans an operator once while it recurs within Q rounds, as every
+round of a periodic schedule does.  The averaging step of certification
+mixes through the same operators.
 """
 
 from collections import deque
@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from itertools import count, islice
 
 import numpy as np
-from scipy.sparse import issparse
 
 from .functions import Sum, VectorConstraint, constant
 from .graphs import _operator
@@ -83,17 +82,13 @@ def find_slater(p, sched, stepsize, K):
 
 def _supports(A):
     """(column indices, row starts) of the positive entries of round
-    operator A, row by row: a CSR operator's own index arrays when it
-    stores positive entries only, as a schedule's do, else those of A > 0.
+    operator A, an array or CSR, row by row.
 
     Raises ValueError on a row with no positive entry (all zero, negative
     or NaN).
     """
-    if issparse(A) and (A.data > 0).all():
-        cols, counts = A.indices, np.diff(A.indptr)
-    else:
-        rows, cols = (A > 0).nonzero()
-        counts = np.bincount(rows, minlength=A.shape[0])
+    rows, cols = (A > 0).nonzero()
+    counts = np.bincount(rows, minlength=A.shape[0])
     if not counts.all():
         raise ValueError(f"round matrix row {int(np.argmin(counts))} has no positive entry")
     return cols, np.cumsum(counts) - counts
@@ -162,6 +157,15 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
     )
 
 
+def _dual_probe(p, mu_check):
+    """The dual probe as a vector of length p.m, zeros for None; raises
+    ValueError unless it is a nonnegative vector of that length."""
+    mu_check = np.zeros(p.m) if mu_check is None else np.atleast_1d(np.asarray(mu_check, dtype=float))
+    if mu_check.shape != (p.m,) or np.any(mu_check < 0):
+        raise ValueError(f"dual probe must be a nonnegative vector of length {p.m}, got {mu_check}")
+    return mu_check
+
+
 def assemble_bound(p, sched, x_check, z_check, mu_check=None):
     """Radius on the optimal dual set from the certified quantities.
 
@@ -173,9 +177,7 @@ def assemble_bound(p, sched, x_check, z_check, mu_check=None):
     """
     if np.any(z_check >= 0):
         raise ValueError("certified value must be componentwise negative")
-    mu_check = np.zeros(p.m) if mu_check is None else np.atleast_1d(np.asarray(mu_check, dtype=float))
-    if mu_check.shape != (p.m,) or np.any(mu_check < 0):
-        raise ValueError(f"dual probe must be a nonnegative vector of length {p.m}, got {mu_check}")
+    mu_check = _dual_probe(p, mu_check)
     plan, why = compile_plan(p)
     if plan is None:
         raise ValueError(f"no closed-form local dual values: {why}")
@@ -198,13 +200,15 @@ def assemble_bound(p, sched, x_check, z_check, mu_check=None):
     )
 
 
-def compute_dual_radius(p, sched, stepsize, K, mu_check=None, max_rounds=1000):
+def compute_dual_radius(p, sched, stepsize, K, mu_check=None):
     """Full three-phase protocol; all agents end with the identical result.
 
-    max_rounds caps certify_negative's blocks of (N-1)*Q rounds, and
-    certify_blocks reports the blocks it used (0 for a single agent).
+    The dual probe's shape is checked before phase 1; whether the problem
+    compiles is found only in phase 3.  certify_blocks reports the blocks
+    of (N-1)*Q rounds that certify_negative used (0 for a single agent).
     """
+    mu_check = _dual_probe(p, mu_check)
     x_check = find_slater(p, sched, stepsize, K)
-    z_check, blocks = certify_negative(p, sched, x_check, max_rounds=max_rounds)
+    z_check, blocks = certify_negative(p, sched, x_check)
     res = assemble_bound(p, sched, x_check, z_check, mu_check)
     return replace(res, slater_rounds=K, certify_blocks=blocks)

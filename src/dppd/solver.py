@@ -8,8 +8,8 @@ point.
 A separable problem, one whose set is an interval or a box and whose agent
 functions all flatten to diagonal quadratic plus affine terms (plus a
 weighted log term when n == 1), is compiled once per run into a plan: the
-per-agent coefficient columns, their sums over agents, and flags for the
-terms that are identically zero, which are left out at compile time.  Each
+per-agent coefficient columns and their sums over agents, with a column
+or sum that is identically zero held as None and its term left out.  Each
 round of the vectorized engine is then only the update's array arithmetic,
 in the paper's order (mix, prox, dual projection), and the Lagrangian at
 the averages is a few flops.  On n == 1 leaving the zero terms out changes
@@ -178,8 +178,8 @@ def dppd_round(p, A, state, alpha, U0):
 # compiled plan for separable quadratic/log-composite problems
 
 
-def _poly(hp, q, w, r, x, lx, coords=False):
-    """hp*x*x + q*x - w*lx + r summed left to right, with lx = log1p(x);
+def _poly(p, q, w, r, x, lx, coords=False):
+    """0.5*p*x*x + q*x - w*lx + r summed left to right, with lx = log1p(x);
     with coords, the terms are summed over the last (coordinate) axis
     before r is added.
 
@@ -188,8 +188,8 @@ def _poly(hp, q, w, r, x, lx, coords=False):
     which is kept and is never -0.0, fixes the sign of a zero sum.
     """
     s = None
-    if hp is not None:
-        s = hp * x * x
+    if p is not None:
+        s = 0.5 * p * x * x
     if q is not None:
         s = q * x if s is None else s + q * x
     if w is not None:
@@ -220,11 +220,12 @@ class _Plan:
     the same form with the g columns.  The primal iterates are an (N,)
     vector when n == 1 and (N, n) otherwise; the duals are an (N,) vector
     when m == 1 and (N, m) otherwise.  The f columns are (N,) or (N, n);
-    the g columns add an m axis after the agents when m > 1.  A g column
-    that is identically zero is None, and its term is left out of every
-    round; f_slope holds pf, qf, wf with the zero ones None likewise.
-    f_total and g_total hold (P/2, Q, W, R) summed over agents for the
-    Lagrangian at the averages, with W None when it is zero.  lo and hi
+    the g columns add an m axis after the agents when m > 1.  f_total and
+    g_total hold (P, Q, W, R), the columns summed over agents, for the
+    Lagrangian at the averages.  A p, q or w column that is identically
+    zero is None, for f as for g, and so is its sum; its term is left out.
+    qf stays an array, as every prox step subtracts alpha*q, and so do the
+    constants, which fix the sign of a zero sum (see _poly).  lo and hi
     bound every coordinate.
     """
 
@@ -232,35 +233,40 @@ class _Plan:
     m: int
     lo: float | np.ndarray
     hi: float | np.ndarray
-    pf: np.ndarray
+    pf: np.ndarray | None
     qf: np.ndarray
-    wf: np.ndarray
+    wf: np.ndarray | None
     rf: np.ndarray
     pg: np.ndarray | None
     qg: np.ndarray | None
     wg: np.ndarray | None
-    hpg: np.ndarray | None  # pg/2
     rg: np.ndarray
-    f_slope: tuple
     f_total: tuple
     g_total: tuple
-    p_zero: bool  # pf and pg identically zero: no curvature in any prox
-    w_zero: bool  # wf and wg identically zero: every prox is quadratic
 
     def _with_duals(self, base, col, muhat):
-        """Per-agent base + sum_l muhat_l * col_l."""
+        """Per-agent base + sum_l muhat_l * col_l, None terms left out."""
         if col is None:
             return base
         if self.n > 1:
             muhat = muhat[..., None]
         t = muhat * col
-        return base + (t if self.m == 1 else t.sum(axis=1))
+        t = t if self.m == 1 else t.sum(axis=1)
+        return t if base is None else base + t
+
+    def _coefs(self, muhat):
+        """(p, q, w) of every agent's f_i + muhat_i.g_i, None where zero."""
+        return (
+            self._with_duals(self.pf, self.pg, muhat),
+            self._with_duals(self.qf, self.qg, muhat),
+            self._with_duals(self.wf, self.wg, muhat),
+        )
 
     def _g_values(self, x):
         """Each agent's constraint values at its point: (N,) or (N, m)."""
         xx = x if self.m == 1 else x[:, None]
         lx = None if self.wg is None else np.log1p(xx)
-        return _poly(self.hpg, self.qg, self.wg, self.rg, xx, lx, self.n > 1)
+        return _poly(self.pg, self.qg, self.wg, self.rg, xx, lx, self.n > 1)
 
     def _dual_step(self, x, muhat, alpha, U0):
         """The projected dual step from muhat along g at the points x."""
@@ -278,12 +284,10 @@ class _Plan:
         mix, then the primal prox, then the projected dual step."""
         xhat = A @ x
         muhat = A @ mu
-        q = self._with_duals(self.qf, self.qg, muhat)
-        p = None if self.p_zero else self._with_duals(self.pf, self.pg, muhat)
-        if self.w_zero:
+        p, q, w = self._coefs(muhat)
+        if w is None:
             x_new = _quad_prox(xhat, p, q, alpha)
         else:
-            w = self._with_duals(self.wf, self.wg, muhat)
             logm = w != 0.0
             if logm.all():
                 x_new = neglog_prox_root(p, q, w, xhat, alpha)
@@ -304,7 +308,7 @@ class _Plan:
         muhat = A @ mu
         xx = xhat if self.m == 1 else xhat[:, None]
         g_slope = _slope(self.pg, self.qg, self.wg, xx)
-        grad = self._with_duals(_slope(*self.f_slope, xhat), g_slope, muhat)
+        grad = self._with_duals(_slope(self.pf, self.qf, self.wf, xhat), g_slope, muhat)
         x_new = xhat - alpha * grad
         x_new.clip(self.lo, self.hi, out=x_new)
         return x_new, self._dual_step(xhat, muhat, alpha, U0)
@@ -325,10 +329,9 @@ class _Plan:
         probe mu (m,).  Each coordinate's slope p*x + q - w/(1+x) increases,
         so its minimizer is lo where the slope is >= 0 there, hi where it is
         <= 0 there, and otherwise the slope's root, clipped against rounding."""
-        muhat = mu[0] if self.m == 1 else mu
-        p = self._with_duals(self.pf, self.pg, muhat)
-        q = self._with_duals(self.qf, self.qg, muhat)
-        w = None if self.w_zero else self._with_duals(self.wf, self.wg, muhat)
+        p, q, w = self._coefs(mu[0] if self.m == 1 else mu)
+        if p is None:
+            p = np.zeros_like(q)
         with np.errstate(divide="ignore", invalid="ignore"):
             root = -q / p
             if w is not None:
@@ -337,9 +340,8 @@ class _Plan:
         x = np.where(_slope(p, q, w, self.lo) >= 0.0, self.lo,
                      np.where(_slope(p, q, w, self.hi) <= 0.0, self.hi, root)).clip(self.lo, self.hi)
         # f_i, then each mu_l*g_il added left to right, as a registry Sum does
-        pf, qf, wf = self.f_slope
-        lx = None if wf is None else np.log1p(x)
-        value = _poly(None if pf is None else 0.5 * pf, qf, wf, self.rf, x, lx, self.n > 1)
+        lx = None if self.wf is None else np.log1p(x)
+        value = _poly(self.pf, self.qf, self.wf, self.rf, x, lx, self.n > 1)
         for mu_l, g_l in zip(mu, self._g_values(x).reshape(len(x), -1).T):
             value = value + mu_l * g_l
         return value
@@ -387,28 +389,18 @@ def compile_plan(p):
     d, q, r, w = (np.array(a) for a in zip(*terms))
     d, q = (a.reshape((N, 1 + m) + ((n,) if n > 1 else ())) for a in (d, q))
     r, w = (a.reshape(N, 1 + m) for a in (r, w))
-    pf, qf, rf, wf = (np.ascontiguousarray(a[:, 0]) for a in (d, q, r, w))
-    pg, qg, rg, wg = (np.ascontiguousarray(a[:, 1:]) for a in (d, q, r, w))
-    if (np.any(wf) or np.any(wg)) and iv[0] <= -1.0:
+    if np.any(w) and iv[0] <= -1.0:
         return None, "the set reaches x = -1, outside the log terms' domain"
-
-    def total(a):
-        s = a.sum(axis=0)
-        return float(s) if s.ndim == 0 else s
-
-    W = total(wf)
-    f_total = (0.5 * total(pf), total(qf), W if W != 0.0 else None, total(rf))
-    Pg, Qg, Wg, Rg = (a.sum(axis=0) for a in (pg, qg, wg, rg))
-    if m == 1:
-        Pg, Qg, Wg, Rg = (a[0] if a.ndim > 1 else float(a[0]) for a in (Pg, Qg, Wg, Rg))
-    g_total = (0.5 * Pg, Qg, None if np.all(Wg == 0.0) else Wg, Rg)
-
-    def column(a):
-        if not np.any(a):
-            return None
-        return a[:, 0].copy() if m == 1 else a
-
-    pg, qg, wg = column(pg), column(qg), column(wg)
+    pf, qf, wf, rf, pg, qg, wg, rg = (
+        np.ascontiguousarray(a[:, j]) for j in (0, 1 if m == 1 else slice(1, None)) for a in (d, q, w, r)
+    )
+    # one rule for f and g: a p, q or w column that is identically zero is
+    # None, and so is its sum over agents; qf and the constants stay
+    pf, wf, pg, qg, wg = (a if np.any(a) else None for a in (pf, wf, pg, qg, wg))
+    f_total, g_total = (
+        tuple(None if a is None else a.sum(axis=0) if a.ndim > 1 else float(a.sum()) for a in cols)
+        for cols in ((pf, qf, wf, rf), (pg, qg, wg, rg))
+    )
     return _Plan(
         n=n,
         m=m,
@@ -421,13 +413,9 @@ def compile_plan(p):
         pg=pg,
         qg=qg,
         wg=wg,
-        hpg=None if pg is None else 0.5 * pg,
-        rg=rg[:, 0].copy() if m == 1 else rg,
-        f_slope=(pf if np.any(pf) else None, qf, wf if np.any(wf) else None),
+        rg=rg,
         f_total=f_total,
         g_total=g_total,
-        p_zero=not np.any(pf) and pg is None,
-        w_zero=not np.any(wf) and wg is None,
     ), None
 
 

@@ -42,9 +42,9 @@ def read_trace(path):
         if int(first.split("=", 1)[1]) != SCHEMA:
             raise ValueError(f"unsupported trace schema: {first}")
         names = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        data = np.empty((0, len(names)))
+        lines = fh.readlines()
+    # the trace of a one-round run (K = 1) has a header and no rows
+    data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, len(names)))
     out = {name: data[:, j] for j, name in enumerate(names)}
     out["k"] = out["k"].astype(int)
     return out
@@ -61,9 +61,12 @@ def report_compare(trace_a, trace_b, f_star=None, ks=(100, 1000, 10000)):
     """Rows (k, err_a, err_b, ratio) at the requested round indices.
 
     Traces are column dicts from read_trace.  Stored error columns are used
-    when finite; with f_star given, traces recorded without an optimum fall
-    back to the cumulative mean of the recorded Lagrangian column (exact for
-    stride 1).  Requested rounds not covered by both traces raise.
+    when finite; with f_star given, a trace recorded without an optimum
+    falls back to its Lagrangian column: a comparator trace's column is its
+    ergodic metric, so the error is |lagrangian_k - f_star|, and a solver
+    trace's is the Lagrangian at the averages, so the error is that of its
+    cumulative mean over the recorded rows (exact for stride 1).  Requested
+    rounds not covered by both traces raise.
     """
 
     def err_at(cols, k):
@@ -75,8 +78,11 @@ def report_compare(trace_a, trace_b, f_star=None, ks=(100, 1000, 10000)):
         if np.isnan(e):
             if f_star is None:
                 raise ValueError("trace has no stored error and no f_star given")
-            lag = cols["lagrangian"][: idx + 1]
-            e = abs(lag.mean() - f_star)
+            lag = cols["lagrangian"]
+            if "ergodic_eval_err" in cols:
+                e = abs(lag[idx] - f_star)
+            else:
+                e = abs(lag[: idx + 1].mean() - f_star)
         return float(e)
 
     rows = []

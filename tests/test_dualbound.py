@@ -25,6 +25,7 @@ from dppd import (
     max_consensus_round,
     mix,
 )
+from dppd import dualbound
 from dppd.functions import DomainError, NegLog, Scaled, Sum, constant
 from dppd.graphs import FAMILIES
 from dppd.oracle import brute_force_saddle
@@ -411,10 +412,10 @@ def test_assemble_bound_guards():
         assemble_bound(p, s, np.zeros(1), np.array([-0.1]), mu_check=np.array([-1.0]))
 
 
-def test_assemble_bound_rejects_a_probe_of_the_wrong_length():
+def test_assemble_bound_rejects_a_probe_of_the_wrong_length(monkeypatch):
     # m = 2: a probe with one or three components is refused, not matched
     # to the components as far as it goes, by assemble_bound and through
-    # compute_dual_radius
+    # compute_dual_radius, which refuses it before any Slater round
     N = 3
     f = tuple(Quadratic(np.array([[1.0]]), np.array([-1.0])) for _ in range(N))
     g = tuple(VectorConstraint((Affine(np.array([1.0]), -0.5), Affine(np.array([-1.0]), -2.0)))
@@ -425,11 +426,15 @@ def test_assemble_bound_rejects_a_probe_of_the_wrong_length():
     ok = assemble_bound(p, s, np.zeros(1), z_check, mu_check=[2.0, 0.0])
     # q_i(2, 0) = min over [-1, 1] of x^2/2 - x + 2*(x - 0.5), at x = -1
     assert ok.q_min == pytest.approx(-1.5, abs=1e-15)
+    runs = []
+    solve = dualbound.run
+    monkeypatch.setattr(dualbound, "run", lambda *args: runs.append(args) or solve(*args))
     for probe in ([2.0], [2.0, 0.0, 7.0]):
         with pytest.raises(ValueError, match="length 2"):
             assemble_bound(p, s, np.zeros(1), z_check, mu_check=probe)
         with pytest.raises(ValueError, match="length 2"):
             compute_dual_radius(p, s, StepsizeSchedule(), K=50, mu_check=probe)
+    assert runs == []
 
 
 def test_assemble_bound_benchmark_components(paper_problem):

@@ -242,6 +242,25 @@ def test_problem_dimension_checks():
         Problem(f=f, g=(), X0=X0)
     with pytest.raises(ValueError):
         Problem(f=(Affine(np.ones(2)),), g=g, X0=X0)
+    with pytest.raises(ValueError, match="constraint dimension mismatch"):
+        Problem(f=f * 2, g=g + (VectorConstraint((Affine(np.ones(1)),) * 2),), X0=X0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Quadratic(np.eye(2), np.zeros(3)), "inconsistent quadratic dimensions"),
+        (lambda: NegLog(1.0).value(np.zeros(2)), "NegLog is scalar"),
+        (lambda: Scaled(Affine(np.ones(1)), -1.0), "scale must be nonnegative"),
+        (lambda: Sum(()), "empty sum"),
+        (lambda: VectorConstraint(()), "at least one component"),
+        (lambda: NonnegBall(np.inf), "radius must be finite and nonnegative"),
+        (lambda: NonnegBall(-1.0), "radius must be finite and nonnegative"),
+    ],
+)
+def test_constructor_checks_name_the_fault(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_problem_lagrangian_sums_locals(paper_problem):

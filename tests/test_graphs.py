@@ -40,6 +40,20 @@ def test_unknown_family_rejected():
         make_schedule(N=4, Q=1, a=0.1, seed=0, family="nope")
 
 
+@pytest.mark.parametrize(
+    "N, Q, a, message",
+    [
+        (0, 1, 0.1, "N and Q must be positive"),
+        (4, 0, 0.1, "N and Q must be positive"),
+        (4, 1, 0.0, r"weight floor must lie in \(0, 1\)"),
+        (4, 1, 1.0, r"weight floor must lie in \(0, 1\)"),
+    ],
+)
+def test_make_schedule_rejects_bad_sizes_and_floors(N, Q, a, message):
+    with pytest.raises(ValueError, match=message):
+        make_schedule(N=N, Q=Q, a=a, seed=0, family="ring")
+
+
 def test_complete_family_floor_guard():
     with pytest.raises(ValueError):
         make_schedule(N=10, Q=1, a=0.5, seed=0, family="complete")

@@ -354,6 +354,27 @@ def test_prox_query_validates_inputs():
         ProxQuery(constant(1, 0.0), np.array([np.nan]), 1.0, X0)
 
 
+def test_prox_solve_clips_to_the_radius_of_a_scalar_nonneg_ball():
+    # unconstrained point (0 + 6)/2 = 3 lies past the radius 2
+    obj = Quadratic(np.array([[1.0]]), np.array([-6.0]))
+    x = prox_solve(ProxQuery(obj, np.array([0.0]), 1.0, NonnegBall(2.0)))
+    assert x.tolist() == [2.0]
+
+
+@pytest.mark.parametrize(
+    "obj, X0, message",
+    [
+        (Sum((Affine(np.zeros(2)), NegLog(1.0))), Box(np.zeros(2), np.ones(2)),
+         "no closed form for a log term in 2 dimensions"),
+        (NegLog(1.0), Box(np.array([-1.0]), np.array([1.0])),
+         "feasible set must lie in the log domain"),
+    ],
+)
+def test_prox_solve_refuses_a_log_term_it_cannot_solve(obj, X0, message):
+    with pytest.raises(ProxError, match=message):
+        prox_solve(ProxQuery(obj, np.zeros(X0.dim), 1.0, X0))
+
+
 # ------------------------------------------------------------ dual prox step
 
 

@@ -1,5 +1,7 @@
 """Trace CSV round trips, comparison reports, scenario files, and the CLI."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dppd import (
     report_compare,
     run,
     run_csp_sg,
+    running_eval_error,
     write_trace,
 )
 from dppd import cli
@@ -56,6 +59,21 @@ def test_comparator_trace_uses_ergodic_column(paper_problem, tmp_path):
     cols = read_trace(path)
     assert "ergodic_eval_err" in cols and "run_eval_err" not in cols
     assert np.array_equal(cols["ergodic_eval_err"], tr.ergodic_eval_err)
+
+
+def test_one_round_trace_reads_back_as_empty_columns(paper_problem, tmp_path):
+    s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
+    tr = run(paper_problem, s, DppdConfig(K=1, U0=10.0))
+    path = tmp_path / "one.csv"
+    write_trace(tr, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = read_trace(path)
+    assert list(cols) == ["k", "alpha", "xbar_0", "cons_x", "cons_mu", "lagrangian",
+                          "run_eval_err", "constr_viol"]
+    assert all(c.shape == (0,) for c in cols.values()) and cols["k"].dtype == int
+    with pytest.raises(ValueError, match="no Lagrangian records"):
+        running_eval_error(tr, 0.0)
 
 
 def test_read_trace_schema_guard(tmp_path):
@@ -112,6 +130,24 @@ def test_report_compare_coverage_and_nan_fallback():
     assert rows[0][1] == pytest.approx(2.5)
     with pytest.raises(ValueError):
         report_compare(tb, tb, ks=(50,))  # NaN without f_star
+
+
+def test_report_compare_reads_a_comparator_trace_without_f_star_as_stored(tmp_path):
+    # a comparator's Lagrangian column is its ergodic metric, so the error
+    # of a trace written without f_star is |lagrangian_k - f_star|, bit for
+    # bit the column a run with f_star stores
+    p = dppd.build_paper_example(N=20, b=1.0)
+    f_star = dppd.paper_example_reference(N=20, b=1.0).f_star
+    s = make_schedule(N=20, Q=1, family="ring")
+    cols = {}
+    for name, fs in (("run", f_star), ("with", f_star), ("without", None)):
+        solve = run if name == "run" else run_csp_sg
+        path = tmp_path / f"{name}.csv"
+        write_trace(solve(p, s, DppdConfig(K=1001, U0=10.0, stride=10, f_star=fs)), path)
+        cols[name] = read_trace(path)
+    assert np.isnan(cols["without"]["ergodic_eval_err"]).all()
+    rows = report_compare(cols["run"], cols["with"], f_star=f_star, ks=(100, 1000))
+    assert report_compare(cols["run"], cols["without"], f_star=f_star, ks=(100, 1000)) == rows
 
 
 # ------------------------------------------------------------------ scenarios
@@ -186,6 +222,23 @@ def test_load_scenario_protocol_solvers_accept_one_round(tmp_path, solver):
     text = SCENARIO_TEXT.replace("K = 60", "K = 1")
     path.write_text(text.replace("solver = dppd", f"solver = {solver}"))
     assert load_scenario(path).config.K == 1
+
+
+def test_load_scenario_defaults(tmp_path, monkeypatch, capsys):
+    # no [dual] section: U0 = 10; no [output] section: the trace is
+    # <name>.csv; hi = 0.05 leaves the binding point outside the box, so
+    # the closed-form reference gives no f_star and the run prints none
+    text = SCENARIO_TEXT.split("[dual]")[0].replace("b = 1.0\n", "b = 1.0\nhi = 0.05\n")
+    path = tmp_path / "defaults.ini"
+    path.write_text(text)
+    scen = load_scenario(path)
+    assert scen.config.U0 == 10.0
+    assert scen.trace_path == "demo.csv"
+    assert scen.config.f_star is None
+    monkeypatch.setenv("DPPD_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "trace:" in out and "f_star:" not in out
 
 
 def test_load_scenario_missing_file():
