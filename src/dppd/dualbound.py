@@ -20,11 +20,19 @@ for its positive entries, A > 0, whether the operator is an array or CSR.
 A sweep scans an operator once while it recurs within Q rounds, as every
 round of a periodic schedule does.  The averaging step of certification
 mixes through the same operators.
+
+A step only selects values that already exist, so once every row of the
+snapshot holds the same bits, every later step returns it unchanged.  A
+sweep stops there: after its first Q steps it tests the rows for equal
+bits, compared as uint64 (float == takes -0.0 and 0.0 as equal, but the max
+still chooses between them), before each step.  The first Q rounds are
+always read; a round past the fixed point is not, so a row with no positive
+entry in it is not reported.  The averaging has no fixed point and runs
+every round.
 """
 
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import count, islice
 
 import numpy as np
 
@@ -94,34 +102,56 @@ def _supports(A):
     return cols, np.cumsum(counts) - counts
 
 
-def _sweep(sched, k0):
-    """(operator, column indices, row starts) of rounds k0, k0+1, ...; a
-    max-consensus step is np.maximum.reduceat(s[cols], starts).  An operator
-    met again within Q rounds, as every round of a periodic schedule is,
-    keeps the supports found at its first scan."""
+def _max_step(sched):
+    """A max-consensus step (A, s) -> np.maximum.reduceat(s[cols], starts)
+    over the row supports of round operator A.  An operator met again within
+    Q rounds, as every round of a periodic schedule is, keeps the supports
+    found at its first scan."""
     recent = deque(maxlen=sched.Q)
-    for k in count(k0):
-        A = _operator(sched, k)
+
+    def step(A, s):
         sup = next((sup for B, sup in recent if B is A), None)
         if sup is None:
             sup = _supports(A)
             recent.append((A, sup))
-        yield A, *sup
+        cols, starts = sup
+        return np.maximum.reduceat(s[cols], starts, axis=0)
+
+    return step
+
+
+def _agreed(s):
+    """Whether every row of s holds the same bits (as uint64: -0.0 != 0.0)."""
+    u = s.view(np.uint64)
+    return bool((u == u[0]).all())
 
 
 def max_consensus_round(sched, k0, s, steps):
-    """Componentwise max over in-neighbors (self included) for the given
-    number of rounds; exact after (N-1)*Q steps on a jointly connected
-    schedule since max only selects existing values.
+    """Componentwise max over in-neighbors (self included) for up to the
+    given number of rounds from round k0; exact after (N-1)*Q steps on a
+    jointly connected schedule since max only selects existing values.
 
-    Raises ValueError on a round matrix with a row that has no positive
-    entry (all zero, negative or NaN).
+    s holds one value (N,) or one row (N, m) per agent.  After the first Q
+    steps, a sweep returns s once every row holds the same bits (compared
+    as uint64), the fixed point of every later step; a round past it is not
+    read.
+
+    Raises ValueError on s of the wrong shape, on steps < 0, and on a round
+    read whose matrix has a row with no positive entry (all zero, negative
+    or NaN).
     """
     s = np.array(s, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
-    for _, cols, starts in islice(_sweep(sched, k0), steps):
-        s = np.maximum.reduceat(s[cols], starts, axis=0)
+    if s.ndim != 2 or s.shape[0] != sched.N:
+        raise ValueError(f"values must be (N,) or (N, m) with N = {sched.N}, got shape {s.shape}")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    step = _max_step(sched)
+    for k in range(k0, k0 + steps):
+        if k - k0 >= sched.Q and _agreed(s):
+            break
+        s = step(_operator(sched, k), s)
     return s
 
 
@@ -135,6 +165,9 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
     the agreed max is strictly negative.  max_rounds caps the number of
     blocks, not of rounds.  The signum threshold test of the protocol
     reduces to strict negativity because signum values are -1/0/1.
+
+    The averaging runs every round of a block; the max stops at its fixed
+    point as in max_consensus_round, and the rounds past it only mix z.
     """
     N = p.N
     z = np.stack([gi.value(x_check) for gi in p.g])  # (N, m)
@@ -143,11 +176,14 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
         if np.all(z[0] < 0):
             return z[0].copy(), 0
         raise SlaterError("single-agent constraint value not negative")
-    rounds = _sweep(sched, 0)
+    step = _max_step(sched)
     for block in range(1, max_rounds + 1):
-        s = z.copy()
-        for A, cols, starts in islice(rounds, sigma):
-            s = np.maximum.reduceat(s[cols], starts, axis=0)
+        s, moving, k0 = z.copy(), True, (block - 1) * sigma
+        for k in range(k0, k0 + sigma):
+            A = _operator(sched, k)
+            moving = moving and (k - k0 < sched.Q or not _agreed(s))
+            if moving:
+                s = step(A, s)
             z = A @ z
         z_max = s[0]
         if np.all(z_max < 0):

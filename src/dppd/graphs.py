@@ -17,8 +17,9 @@ round, is a dense N x N array.  Any other round is a CSR array made from
 its edges in one sort of their entry keys, so a large schedule is built,
 validated and run without ever forming an N x N array; `matrix(k)` makes
 the dense array of such a round on request.  A CSR round stores exactly
-its positive entries, in column order within each row: its row pointers
-and column indices are the row supports that max-consensus steps over.
+its positive entries, in column order within each row.  Max-consensus
+finds the row supports it steps over by its own scan of the positive
+entries, A > 0, of either form (`dualbound._supports`).
 """
 
 from collections import deque

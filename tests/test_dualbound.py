@@ -31,6 +31,7 @@ from dppd.graphs import FAMILIES
 from dppd.oracle import brute_force_saddle
 from dppd.solver import compile_plan
 
+import dualbound_reference
 from conftest import random_small_instance
 from proxops_reference import local_dual_value
 
@@ -230,8 +231,124 @@ def test_a_sweep_scans_each_round_of_a_periodic_schedule_once(monkeypatch, paper
     _, blocks = certify_negative(paper_problem, s, np.array([1.0]))
     assert blocks > 1 and len(scanned) == 2
     scanned.clear()
-    max_consensus_round(_fresh_schedule(6, 2), 0, np.arange(6.0), 10)
-    assert len(scanned) == 10
+    # a schedule that builds each round anew is scanned at every step up to
+    # the fixed point, which these values reach within the 10 steps
+    vals = np.arange(6.0)
+    agree = next(t for t in range(1, 11) if _rows_agree(dualbound_reference.max_consensus_round(_fresh_schedule(6, 2), 0, vals, t)))
+    scanned.clear()
+    max_consensus_round(_fresh_schedule(6, 2), 0, vals, 10)
+    assert len(scanned) == max(agree, 2) < 10
+
+
+def _rows_agree(s):
+    u = s.view(np.uint64)
+    return bool((u == u[0]).all())
+
+
+class _Drawn:
+    """A schedule that records the rounds whose operator is looked up."""
+
+    def __init__(self, sched):
+        self.sched, self.N, self.Q, self.drawn = sched, sched.N, sched.Q, []
+
+    def operator(self, k):
+        self.drawn.append(k)
+        return self.sched.operator(k)
+
+
+def _constant_problem(vals):
+    """A problem whose local constraint values are the rows of vals."""
+    f = tuple(Affine(np.array([1.0])) for _ in vals)
+    g = tuple(VectorConstraint(tuple(constant(1, v) for v in row)) for row in vals)
+    return Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
+
+
+REFERENCE_SCHEDULES = {
+    **EQUIVALENCE_SCHEDULES,
+    **{f"{fam}-csr": (lambda fam=fam: make_schedule(N=200, Q=2, a=0.1, seed=1, family=fam)) for fam in ("chorded", "birkhoff")},
+}
+
+
+def _reference_inputs(N, m, rng):
+    """Signed zeros and negatives; the same with a NaN; the same with a
+    positive value; rows that agree from the start; and rows of -0.0 but
+    one of 0.0, which float == would take as agreeing."""
+    signed_zeros = rng.choice([-0.0, 0.0, -1.5, -0.25], size=(N, m))
+    with_nan = signed_zeros.copy()
+    with_nan[2, -1] = np.nan
+    with_positive = signed_zeros.copy()
+    with_positive[N // 2, 0] = 0.5
+    agreeing = np.tile(rng.choice([-0.0, -0.25, 1.5], size=m), (N, 1))
+    one_plus_zero = np.full((N, m), -0.0)
+    one_plus_zero[N - 1, 0] = 0.0
+    return signed_zeros, with_nan, with_positive, agreeing, one_plus_zero
+
+
+@pytest.mark.parametrize(
+    "name, m, k0",
+    # a birkhoff CSR round is built anew at every lookup: one case keeps it short
+    [(name, m, k0) for name in sorted(REFERENCE_SCHEDULES) for m in (1, 2) for k0 in (0, 1, 3) if name != "birkhoff-csr" or (m, k0) == (1, 0)],
+)
+def test_sweeps_match_the_full_step_reference_bit_for_bit(name, m, k0):
+    # stopping at the fixed point changes no bit of a sweep or of the
+    # certification against the loops that run every step
+    s = REFERENCE_SCHEDULES[name]()
+    sigma = (s.N - 1) * s.Q
+    for vals in _reference_inputs(s.N, m, np.random.default_rng([m, k0, s.N])):
+        for steps in (0, 1, s.Q, s.Q + 1, sigma, sigma + 1):
+            out = max_consensus_round(s, k0, vals, steps)
+            ref = dualbound_reference.max_consensus_round(s, k0, vals, steps)
+            assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), steps
+        p = _constant_problem(vals)
+        try:
+            ref = dualbound_reference.certify_negative(p, s, np.array([0.5]), max_rounds=2)
+        except SlaterError:
+            with pytest.raises(SlaterError):
+                certify_negative(p, s, np.array([0.5]), max_rounds=2)
+            continue
+        z, blocks = certify_negative(p, s, np.array([0.5]), max_rounds=2)
+        assert np.array_equal(z.view(np.uint64), ref[0].view(np.uint64)) and blocks == ref[1]
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SCHEDULES))
+def test_a_sweep_of_values_that_agree_draws_q_operators(name):
+    s = _Drawn(EQUIVALENCE_SCHEDULES[name]())
+    vals = np.full((s.N, 2), -0.25)
+    out = max_consensus_round(s, 3, vals, 40)
+    assert np.array_equal(out, vals) and s.drawn == list(range(3, 3 + s.Q))
+
+
+def test_certification_past_the_fixed_point_mixes_without_scanning(monkeypatch):
+    # every round of the block is looked up for the averaging; only the
+    # first Q rounds of a schedule that builds each round anew are scanned
+    scanned = []
+    supports = dppd.dualbound._supports
+    monkeypatch.setattr(dppd.dualbound, "_supports", lambda A: scanned.append(A) or supports(A))
+    s = _Drawn(_fresh_schedule(6, 2))
+    z, blocks = certify_negative(_constant_problem(np.full((6, 1), -0.25)), s, np.array([0.5]))
+    assert blocks == 1 and z == -0.25
+    assert s.drawn == list(range(10)) and len(scanned) == 2
+
+
+def test_a_round_past_the_fixed_point_is_not_read():
+    # round 1 has a row with no positive entry: values that agree from the
+    # start never read it, values that stay apart on round 0 do
+    bad = np.eye(3)
+    bad[1] = 0.0
+    s = GraphSchedule(N=3, Q=1, a=0.0, _matrix_fn=lambda k: np.eye(3) if k == 0 else bad)
+    assert np.array_equal(max_consensus_round(s, 0, np.full(3, 2.0), 3), np.full((3, 1), 2.0))
+    with pytest.raises(ValueError, match="row 1"):
+        max_consensus_round(s, 0, np.arange(3.0), 3)
+
+
+def test_max_consensus_rejects_values_of_the_wrong_shape_and_negative_steps():
+    # one value row per agent, no more and no fewer
+    s = make_schedule(N=4, Q=1, a=0.25, seed=0, family="ring")
+    for vals in (np.arange(7.0), np.arange(3.0), np.zeros((4, 2, 1)), 1.0):
+        with pytest.raises(ValueError, match="N = 4"):
+            max_consensus_round(s, 0, vals, 3)
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        max_consensus_round(s, 0, np.arange(4.0), -1)
 
 
 # ------------------------------------------------------------------ certify
