@@ -7,7 +7,7 @@ the solver, a subgradient comparator, the distributed dual-radius protocol,
 graph-schedule generators, and independent verification oracles.
 """
 
-from .baseline import BaselineTrace, csp_sg_round, run_csp_sg
+from .baseline import BaselineTrace, run_csp_sg
 from .dualbound import (
     DualBoundResult,
     SlaterError,

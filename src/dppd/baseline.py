@@ -3,15 +3,16 @@
 Each round mixes, then takes one projected subgradient step on the local
 Lagrangian in each variable (both steps evaluated at the mixed points).  The
 evaluation metric is sum_i L_i at the per-agent ergodic averages, which is
-the quantity the comparison plots use.  The engine choice, the rounds, the
+the quantity the comparison plots use.  The compiled plan, the rounds, the
 row rule and the trace columns are the proximal solver's (`solver._start`,
-`solver._rounds`, `solver._TraceBuilder`): a problem that compiles runs its
-rounds on the plan's `sg_step`, bit for bit `csp_sg_round` when n = m = 1
-and every f_i and g_i is one registry term, and the others run
-`csp_sg_round` per agent.  Only the ergodic sums and the metric, evaluated
-per agent on the recorded rows, are the comparator's own.  Comparisons
-against the proximal solver are qualitative: the reconstruction matches
-stepsizes and mixing but not any particular published constant choices.
+`solver._rounds`, `solver._TraceBuilder`), so a problem that does not
+compile is refused before round 0, as in `run`.  Each round is the plan's
+`sg_step`, bit for bit `csp_sg_round`, the same round taken agent by agent,
+when n = m = 1 and every f_i and g_i is one registry term.  Only the
+ergodic sums and the metric, evaluated per agent on the recorded rows, are
+the comparator's own.  Comparisons against the proximal solver are
+qualitative: the reconstruction matches stepsizes and mixing but not any
+particular published constant choices.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from .functions import NonnegBall
 from .graphs import mix
 from .solver import SwarmState, Trace, _check_finite, _rounds, _start, _TraceBuilder
 
-__all__ = ["BaselineTrace", "csp_sg_round", "run_csp_sg"]
+__all__ = ["BaselineTrace", "run_csp_sg"]
 
 
 class BaselineTrace(Trace):
@@ -33,7 +34,8 @@ class BaselineTrace(Trace):
 
 
 def csp_sg_round(p, A, state, alpha, U0):
-    """Mix, then projected subgradient steps at the mixed points."""
+    """Mix, then projected subgradient steps at the mixed points, agent by
+    agent: the reference for the plan's sg_step."""
     if alpha <= 0:
         raise ValueError("stepsize must be positive")
     U = NonnegBall(U0, dim_=p.m)
@@ -51,28 +53,17 @@ def csp_sg_round(p, A, state, alpha, U0):
 def run_csp_sg(p, sched, cfg):
     """Run the comparator and trace the ergodic evaluation metric.
 
-    Rounds run on the compiled plan when the problem compiles, as in `run`,
-    and through csp_sg_round otherwise.  Raises FloatingPointError, naming
-    the round and the first agent, as soon as an iterate is not finite.
+    Raises ValueError naming why, before round 0, when the problem does not
+    compile, and FloatingPointError, naming the round and the first agent,
+    as soon as an iterate is not finite.
     """
     N, U0 = p.N, cfg.U0
-    plan, engine, x, mu = _start(p, U0)
-    if plan is not None:
-
-        def step(k, A, x, mu, alpha):
-            return plan.sg_step(A, x, mu, alpha, U0)
-
-    else:
-
-        def step(k, A, x, mu, alpha):
-            new = csp_sg_round(p, A, SwarmState(k, x, mu), alpha, U0)
-            return new.x, new.mu
-
+    plan, x, mu = _start(p, U0)
     x_sum = np.zeros_like(x)
     mu_sum = np.zeros_like(mu)
     tb = _TraceBuilder(p, cfg)
     for k, alpha, A in _rounds(p, sched, cfg):
-        x, mu = step(k, A, x, mu, alpha)
+        x, mu = plan.sg_step(A, x, mu, alpha, U0)
         x_sum += x
         mu_sum += mu
         # every iterate reaches the running sums
@@ -87,4 +78,4 @@ def run_csp_sg(p, sched, cfg):
             xbar, mubar = x_erg.mean(axis=0), mu_erg.mean(axis=0)
             xs, mus = x.reshape(N, -1), mu.reshape(N, -1)
             tb.record(k, alpha, xs, mus, xbar, mubar, metric, metric, p.constraint(xbar))
-    return tb.build(BaselineTrace, x, mu, engine)
+    return tb.build(BaselineTrace, x, mu)

@@ -58,7 +58,6 @@ def cmd_run(args):
         trace = solve(scen.problem, scen.schedule, cfg)
         path = _out_path(scen.trace_path)
         write_trace(trace, path)
-        lines.append(f"engine: {trace.engine}")
         lines.append(f"trace: {path}")
         lines.append(f"final_cons_x: {_fmt(trace.cons_x[-1])}")
         lines.append(f"final_cons_mu: {_fmt(trace.cons_mu[-1])}")

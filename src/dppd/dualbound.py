@@ -10,8 +10,8 @@ Three phases, all barrier-synchronized on the same graph schedule:
      over both columns and assemble the radius N*(f_max - q_min)/gamma_lower.
      Each local dual value q_i is exact, read from the compiled plan
      (`solver.compile_plan`), where f_i + mu.g_i has a closed-form minimizer;
-     a problem that does not compile raises there.  The dual probe's shape
-     is checked before phase 1.
+     an f_i that does not compile raises here (a set or g_i, in phase 1).
+     The dual probe's shape is checked before phase 1.
 
 A max-consensus step is one gather of the in-neighbor values and one
 segmented max over them, O(nnz) for a round with nnz positive entries.
@@ -71,7 +71,8 @@ def find_slater(p, sched, stepsize, K):
     """Distributed proximal minimization of sum_i g_i over X0 (summed over
     constraint components for m > 1); returns the round-K primal average.
 
-    Raises SlaterError unless sum_i g_i is strictly negative there.
+    Raises SlaterError unless sum_i g_i is strictly negative there, and
+    ValueError naming why when the set or a g_i does not compile.
     """
     f_sub = tuple(
         gi.components[0] if gi.m == 1 else Sum(gi.components) for gi in p.g
@@ -159,6 +160,7 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
     """(z_check, blocks): the certified componentwise-negative consensus
     value of the local constraint evaluations at x_check, and the number of
     blocks it took (0 for a single agent, which needs no consensus).
+    A local value that is not finite raises ValueError naming its agent.
 
     Runs average consensus on z and, over the same rounds, finite-time max
     consensus on a snapshot of z; repeats in blocks of (N-1)*Q rounds until
@@ -171,6 +173,9 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
     """
     N = p.N
     z = np.stack([gi.value(x_check) for gi in p.g])  # (N, m)
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))  # no block would certify
+    if bad.size:
+        raise ValueError(f"local constraint value of agent {bad[0]} is not finite")
     sigma = (N - 1) * sched.Q
     if sigma == 0:
         if np.all(z[0] < 0):
@@ -239,9 +244,9 @@ def assemble_bound(p, sched, x_check, z_check, mu_check=None):
 def compute_dual_radius(p, sched, stepsize, K, mu_check=None):
     """Full three-phase protocol; all agents end with the identical result.
 
-    The dual probe's shape is checked before phase 1; whether the problem
-    compiles is found only in phase 3.  certify_blocks reports the blocks
-    of (N-1)*Q rounds that certify_negative used (0 for a single agent).
+    The dual probe is checked before phase 1, whether the set and each g_i
+    compile in phase 1, and each f_i in phase 3.  certify_blocks reports
+    the blocks of (N-1)*Q rounds that certify_negative used (0 for one agent).
     """
     mu_check = _dual_probe(p, mu_check)
     x_check = find_slater(p, sched, stepsize, K)

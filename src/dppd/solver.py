@@ -5,25 +5,23 @@ stochastic matrix, takes a proximal step on the local Lagrangian over the
 shared feasible set, then a projected dual step using the fresh primal
 point.
 
-A separable problem, one whose set is an interval or a box and whose agent
-functions all flatten to diagonal quadratic plus affine terms (plus a
-weighted log term when n == 1), is compiled once per run into a plan: the
-per-agent coefficient columns and their sums over agents, with a column
-or sum that is identically zero held as None and its term left out.  Each
-round of the vectorized engine is then only the update's array arithmetic,
-in the paper's order (mix, prox, dual projection), and the Lagrangian at
-the averages is a few flops.  On n == 1 leaving the zero terms out changes
-no bit of the trajectory; on n >= 2 the prox divides where the per-agent
-path solves I + alpha*P, so the bits move (by about 1e-16).  The plan also
-holds the comparator's round (`_Plan.sg_step`) and the dual-radius
-protocol's local dual values (`_Plan.local_minima`).  Everything else runs
-through the generic per-agent prox ladder, `dppd_round`, in the same loop,
-and the trace records which engine ran and why.
+`run` compiles the problem once into a plan (`compile_plan`): the
+per-agent coefficient columns and their sums over agents, a column or sum
+that is identically zero held as None and its term left out.  A problem
+compiles when its set is an interval or a box and its agent functions all
+flatten to diagonal quadratic plus affine terms (plus a weighted log term
+when n == 1); any other is refused with a ValueError naming why, before
+round 0.  Each round is then only the update's array arithmetic, in the
+paper's order (mix, prox, dual projection), and the Lagrangian at the
+averages is a few flops.  The plan also holds the comparator's round
+(`_Plan.sg_step`) and the dual-radius protocol's local dual values
+(`_Plan.local_minima`).  `dppd_round` takes the same round agent by agent
+through `prox_solve`; it is the reference the plan's step is tested against.
 
-The engine choice and initial layout (`_start`), the round iteration
-(`_rounds`), the trace type (`Trace`) and its builder (`_TraceBuilder`,
-which owns the rule for the recorded rows) are shared with the subgradient
-comparator in `baseline`.
+The plan and initial layout (`_start`), the rounds (`_rounds`), the trace
+type (`Trace`) and its builder (`_TraceBuilder`, which owns the rule for
+the recorded rows) are shared with the subgradient comparator in
+`baseline`.
 """
 
 import math
@@ -96,8 +94,6 @@ class Trace:
     Lagrangian column, the evaluated value with its error |value - f_star|
     (NaN without f_star), and the violation of the summed constraint at
     xbar.  The subclass names the error column that write_trace writes.
-    engine says which engine ran the rounds: "compiled", or "per-agent"
-    with the reason the problem did not compile.
     """
 
     k: np.ndarray
@@ -113,7 +109,6 @@ class Trace:
     stride: int
     f_star: float = None
     final_state: SwarmState = None
-    engine: str = None
 
 
 class RunTrace(Trace):
@@ -355,9 +350,9 @@ def _quad_prox(xhat, p, q, alpha):
 
 
 def compile_plan(p):
-    """(plan, None) with the vectorized engine's plan for p, or (None, why)
-    when p does not compile, why naming the set, or the first agent and
-    term, that does not flatten.
+    """(plan, None) with the plan for p, or (None, why) when p does not
+    compile, why naming the set, or the first agent and term, that does
+    not flatten.
 
     p compiles when its set is an interval (n == 1) or a box, and every
     f_i and g_il flattens to a diagonal quadratic plus affine terms, plus a
@@ -420,16 +415,14 @@ def compile_plan(p):
 
 
 def _start(p, U0):
-    """(plan, engine, x, mu): the compiled plan, or None for the per-agent
-    rounds; the engine as the trace records it; and the initial iterates in
-    the engine's layout."""
-    state = initial_state(p, U0)
+    """(plan, x, mu): the compiled plan and the initial iterates in its
+    layout.  Raises ValueError naming why when p does not compile."""
     plan, why = compile_plan(p)
     if plan is None:
-        return None, f"per-agent ({why})", state.x, state.mu
-    x = state.x[:, 0].copy() if p.n == 1 else state.x
-    mu = state.mu[:, 0].copy() if p.m == 1 else state.mu
-    return plan, "compiled", x, mu
+        raise ValueError(f"the problem does not compile: {why}")
+    state = initial_state(p, U0)
+    # one coordinate, or one dual component, is held as an (N,) vector
+    return plan, *(a[:, 0].copy() if a.shape[1] == 1 else a for a in (state.x, state.mu))
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +467,7 @@ class _TraceBuilder:
             (k, alpha, xbar, mubar, _spread(x), _spread(mu), lagrangian, err, viol, value)
         )
 
-    def build(self, kind, x, mu, engine):
+    def build(self, kind, x, mu):
         """The trace, its final state the round-K iterates x, mu."""
         k, alpha, xbar, mubar, *rest = list(zip(*self.rows)) or [()] * 10
         N = x.shape[0]
@@ -487,7 +480,6 @@ class _TraceBuilder:
             stride=self.cfg.stride,
             f_star=self.cfg.f_star,
             final_state=SwarmState(self.cfg.K, x.reshape(N, -1).copy(), mu.reshape(N, -1).copy()),
-            engine=engine,
         )
 
 
@@ -512,37 +504,25 @@ def run(p, sched, cfg):
     """Execute cfg.K rounds of the primal-dual update and record a trace.
 
     Deterministic for a fixed problem, schedule, and config.  Raises
-    FloatingPointError, naming the round and the first agent, as soon as an
-    iterate is not finite.
+    ValueError naming why, before round 0, when the problem does not
+    compile, and FloatingPointError, naming the round and the first agent,
+    as soon as an iterate is not finite.
     """
     N, U0 = p.N, cfg.U0
-    plan, engine, x, mu = _start(p, U0)
-    if plan is not None:
-
-        def step(k, A, x, mu, alpha):
-            x, mu = plan.step(A, x, mu, alpha, U0)
-            xbar = float(x.sum() / N) if plan.n == 1 else x.sum(axis=0) / N
-            return x, mu, *plan.at_averages(xbar, mu.sum(axis=0) / N)
-
-    else:
-
-        def step(k, A, x, mu, alpha):
-            new = dppd_round(p, A, SwarmState(k, x, mu), alpha, U0)
-            xbar = new.x.mean(axis=0)
-            g_tot = p.constraint(xbar)
-            return new.x, new.mu, p.objective(xbar) + float(new.mu.mean(axis=0) @ g_tot), g_tot
-
+    plan, x, mu = _start(p, U0)
     tb = _TraceBuilder(p, cfg)
     lag_sum = 0.0  # of the Lagrangians at the averages after rounds 1..k
     for k, alpha, A in _rounds(p, sched, cfg):
-        x, mu, lag, g_tot = step(k, A, x, mu, alpha)
+        x, mu = plan.step(A, x, mu, alpha, U0)
+        xbar = float(x.sum() / N) if plan.n == 1 else x.sum(axis=0) / N
+        lag, g_tot = plan.at_averages(xbar, mu.sum(axis=0) / N)
         _check_finite(k, lag, x, mu)
         if k >= 1:
             lag_sum += lag
         if tb.due(k):
             xs, mus = x.reshape(N, -1), mu.reshape(N, -1)
             tb.record(k, alpha, xs, mus, xs.mean(axis=0), mus.mean(axis=0), lag, lag_sum / k, g_tot)
-    return tb.build(RunTrace, x, mu, engine)
+    return tb.build(RunTrace, x, mu)
 
 
 def running_eval_error(trace, f_star):

@@ -12,10 +12,10 @@ from dppd import (
     Quadratic,
     StepsizeSchedule,
     VectorConstraint,
-    csp_sg_round,
     make_schedule,
     run_csp_sg,
 )
+from dppd.baseline import csp_sg_round
 from dppd.functions import constant
 from dppd.solver import SwarmState, initial_state
 

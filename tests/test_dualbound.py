@@ -1,6 +1,8 @@
 """Distributed dual-radius protocol: strictly feasible point, negativity
 certification, consensus primitives, and assembled radius soundness."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -300,6 +302,12 @@ def test_sweeps_match_the_full_step_reference_bit_for_bit(name, m, k0):
             ref = dualbound_reference.max_consensus_round(s, k0, vals, steps)
             assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), steps
         p = _constant_problem(vals)
+        if not np.isfinite(vals).all():
+            # refused before the first block, where the reference gives up
+            # after its last
+            with pytest.raises(ValueError, match="agent 2 is not finite"):
+                certify_negative(p, s, np.array([0.5]), max_rounds=2)
+            continue
         try:
             ref = dualbound_reference.certify_negative(p, s, np.array([0.5]), max_rounds=2)
         except SlaterError:
@@ -407,6 +415,18 @@ def test_certify_negative_gives_up_after_max_rounds_blocks():
         certify_negative(p, s, np.array([0.5]), max_rounds=3)
 
 
+def test_certify_negative_refuses_a_local_value_that_is_not_finite():
+    # a NaN would spread through the averaging and no block could certify,
+    # so it is refused before the first block, without a round operator
+    N = 300
+    p = dppd.build_paper_example(N=N, b=N / 20)
+    s = make_schedule(N=N, Q=2, a=0.05, seed=0, family="chorded")
+    looked_up = AssertionError("a round operator was looked up")
+    with mock.patch.object(GraphSchedule, "operator", side_effect=looked_up):
+        with pytest.raises(ValueError, match="local constraint value of agent 0 is not finite"):
+            certify_negative(p, s, np.array([np.nan]))
+
+
 # ------------------------------------------------------------------ assembly
 
 
@@ -491,8 +511,8 @@ def test_local_dual_value_diagonal_quadratic_on_a_box_matches_bounded_minimize()
 
 def test_assemble_bound_raises_naming_why_the_problem_does_not_compile():
     # a problem without a plan has no closed-form local dual values; the
-    # message names the reason as the trace's engine string does (the log
-    # term on an interval reaching -1 is the test above)
+    # message names the reason as run's refusal does (the log term on an
+    # interval reaching -1 is the test above)
     g = VectorConstraint((Affine(np.ones(2), -1.0),))
     box = Box(np.zeros(2), np.ones(2))
     coupled = Quadratic(np.array([[1.0, 0.5], [0.5, 1.0]]), np.ones(2))
@@ -500,6 +520,28 @@ def test_assemble_bound_raises_naming_why_the_problem_does_not_compile():
         _one_agent_bound(coupled, g, box)
     with pytest.raises(ValueError, match="the set is a NonnegBall, not a box"):
         _one_agent_bound(Quadratic(np.eye(2), np.ones(2)), g, NonnegBall(1.0, dim_=2))
+
+
+def test_dual_radius_refuses_what_does_not_compile_in_the_first_phase_that_sees_it():
+    # the Slater run refuses a ball before its first round, so the
+    # certification never starts; a non-diagonal f is not part of the
+    # Slater sub-problem and is found only when the bound is assembled
+    N = 6
+    g = tuple(VectorConstraint((Affine(np.ones(2), -0.5),)) for _ in range(N))
+    s = make_schedule(N=N, Q=2, a=0.1, seed=0, family="chorded")
+    ball = Problem(f=tuple(Quadratic(np.eye(2), -np.ones(2)) for _ in range(N)), g=g,
+                   X0=NonnegBall(1.0, dim_=2))
+    phase_2 = AssertionError("the certification ran")
+    with mock.patch.object(dualbound, "certify_negative", side_effect=phase_2):
+        with pytest.raises(ValueError, match="the set is a NonnegBall, not a box"):
+            compute_dual_radius(ball, s, StepsizeSchedule(), K=400)
+    skew = Quadratic(np.array([[1.0, 0.5], [0.5, 1.0]]), np.ones(2))
+    coupled = Problem(f=(skew,) * N, g=g, X0=Box(np.zeros(2), np.ones(2)))
+    certify = mock.Mock(wraps=certify_negative)
+    with mock.patch.object(dualbound, "certify_negative", certify):
+        with pytest.raises(ValueError, match="agent 0: f has a non-diagonal quadratic"):
+            compute_dual_radius(coupled, s, StepsizeSchedule(), K=200)
+    certify.assert_called_once()
 
 
 def test_dual_radius_on_a_box_with_diagonal_quadratics():

@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package or of its tests imports a name
 it never uses, no module of the package keeps a private helper that the
-package never uses, and every public name of a package module is read by
-the package or by the acceptance gate."""
+package never uses, every public name of a package module is read by the
+package or by the acceptance gate, and every name the benchmark harness
+reads or hooks on a package module exists."""
 
 import ast
+import importlib
 import pathlib
 from collections import Counter
 
@@ -11,6 +13,7 @@ import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "dppd"
+PERFBENCH = TESTS.parent / "perfbench"
 # __init__.py imports names only to re-export them; the acceptance gate is
 # frozen as released
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
@@ -130,3 +133,54 @@ def test_every_public_name_is_read():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
     readers = ((TESTS / "test_acceptance.py").read_text(),)
     assert unread_public_names(sources, readers) == []
+
+
+def module_reads(source):
+    """(module, attr) of each `<module>.<attr>` read in source on a module
+    that it imports from dppd by name."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "dppd"
+        for alias in node.names
+    }
+    return sorted({
+        (n.value.id, n.attr)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules
+    })
+
+
+def test_scan_finds_the_module_reads():
+    src = "from dppd import solver, graphs as g\nimport os\nsolver.run(g.mix(os.sep).x)\n"
+    assert module_reads(src) == [("g", "mix"), ("solver", "run")]
+
+
+def _hooks(source):
+    """(module, attr) of each name that the tracing hooks swap: every module
+    listed for a "<module>.<attr>" key of HOOKS or COUNTED."""
+    tables = {
+        t.id: ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id in ("HOOKS", "COUNTED")
+    }
+    assert set(tables) == {"HOOKS", "COUNTED"}
+    return sorted({
+        (mod, key.split(".")[1]) for table in tables.values() for key, mods in table.items() for mod in mods
+    })
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # the benchmark calls the package through its module objects and hooks
+    # its functions by name in each module that calls them; a name that is
+    # gone fails only in the benchmark's own runs
+    reads = module_reads((PERFBENCH / "workloads.py").read_text())
+    assert ("baseline", "csp_sg_round") in reads and ("proxops", "prox_solve") in reads
+    reads += _hooks((PERFBENCH / "tracing.py").read_text())
+    missing = [
+        (mod, attr) for mod, attr in reads if not hasattr(importlib.import_module(f"dppd.{mod}"), attr)
+    ]
+    assert missing == []

@@ -1,6 +1,7 @@
 """Solver rounds, traces, stepsizes, and run-level invariants."""
 
 import functools
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -272,8 +273,7 @@ def _check_compiled_rounds(p, U0, ss, bitwise=()):
     both from the initial state: plan.step against dppd_round ("prox") and
     plan.sg_step against csp_sg_round ("sg").  The methods named in bitwise
     must agree bit for bit, the others within 1e-9."""
-    plan, engine, x0, mu0 = _start(p, U0)
-    assert engine == "compiled"
+    plan, x0, mu0 = _start(p, U0)
     s = make_schedule(N=p.N, Q=1, a=0.3, seed=0, family="ring")
     for method, compiled, reference in (
         ("prox", plan.step, dppd_round),
@@ -454,7 +454,7 @@ def test_sparse_mixing_stays_within_tolerance_of_dense(family, Q, kind):
         with mock.patch.object(dppd.GraphSchedule, "matrix", side_effect=AssertionError("dense round")):
             tr = solve(p, s, cfg)
         ref = solve(p, fresh, cfg)
-        plan, _, x, mu = _start(p, cfg.U0)
+        plan, x, mu = _start(p, cfg.U0)
         for k in range(cfg.K):
             x, mu = getattr(plan, step)(s.matrix(k), x, mu, cfg.stepsize.alpha(k), cfg.U0)
         assert np.array_equal(ref.final_state.x, x.reshape(N, -1))
@@ -487,6 +487,15 @@ def test_schedule_size_mismatch_rejected():
         run(p, make_schedule(N=5, Q=2), DppdConfig(K=3, U0=1.0))
 
 
+def _per_agent_rounds(p, sched, K, U0):
+    """The state after K rounds of dppd_round from the initial state, for a
+    problem that run refuses because it does not compile."""
+    state, ss = initial_state(p, U0), StepsizeSchedule()
+    for k in range(K):
+        state = dppd_round(p, sched.matrix(k), state, ss.alpha(k), U0)
+    return state
+
+
 @pytest.mark.parametrize(
     "engine, error",
     [
@@ -499,8 +508,8 @@ def test_schedule_size_mismatch_rejected():
 def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
     # a NaN weight in agent 2's row reaches its iterates in round 0; the box
     # keeps x away from 0 so the NaN is not multiplied by an exact zero.  The
-    # compiled engine catches it at the averages; the generic prox (a
-    # non-diagonal P does not compile) rejects the NaN anchor first; the
+    # compiled engine catches it at the averages; run refuses a non-diagonal
+    # P, and the per-agent rounds' prox rejects the NaN anchor first; the
     # comparator catches it in its ergodic sums.
     N = 4
     A = np.full((N, N), 1.0 / N)
@@ -518,15 +527,19 @@ def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
     else:
         p = dppd.build_paper_example(N=N, b=0.2, lo=0.25, hi=1.0)
     assert (compile_plan(p)[0] is None) == (engine == "generic")
-    solve = run_csp_sg if engine == "comparator" else run
+    cfg = DppdConfig(K=5, U0=1.0)
     with pytest.raises(error, match="agent 2 in round 0"):
-        solve(p, sched, DppdConfig(K=5, U0=1.0))
+        if engine == "generic":
+            _per_agent_rounds(p, sched, cfg.K, cfg.U0)
+        else:
+            (run_csp_sg if engine == "comparator" else run)(p, sched, cfg)
 
 
 def test_run_on_non_separable_quadratic_on_box():
     # f_i = x.Px/2 + (1, 1).x increases over the box [0.25, 1]^2, so every
     # prox lands on the box's boundary, which no closed form reaches for a
-    # non-diagonal P; the per-agent engine solves the box QP exactly
+    # non-diagonal P; run refuses the problem (see the compile_plan test),
+    # and the per-agent rounds solve the box QP exactly
     N = 4
     P = np.array([[1.0, 0.5], [0.5, 1.0]])
     p = Problem(
@@ -535,11 +548,9 @@ def test_run_on_non_separable_quadratic_on_box():
         X0=Box(np.full(2, 0.25), np.ones(2)),
     )
     s = make_schedule(N=N, Q=1, a=0.2, seed=0, family="ring")
-    tr = run(p, s, DppdConfig(K=50, U0=1.0, stride=10))
-    assert tr.engine == "per-agent (agent 0: f has a non-diagonal quadratic)"
-    x = tr.final_state.x
+    x = _per_agent_rounds(p, s, 50, 1.0).x
     assert np.all((0.25 <= x) & (x <= 1.0))
-    assert tr.xbar[-1] == pytest.approx([0.25, 0.25], abs=1e-12)
+    assert x.mean(axis=0) == pytest.approx([0.25, 0.25], abs=1e-12)
 
 
 def _two_dim_problem(N=3, P=np.eye(2), X0=Box(np.full(2, -1.0), np.ones(2)), log_agent=None):
@@ -564,29 +575,27 @@ def _two_dim_problem(N=3, P=np.eye(2), X0=Box(np.full(2, -1.0), np.ones(2)), log
 )
 def test_compile_plan_declines_what_does_not_flatten(problem, why):
     assert compile_plan(problem) == (None, why)
+    # run and the comparator refuse it, naming why, before round 0
+    s = make_schedule(N=problem.N, Q=1, a=0.3, seed=0, family="ring")
+    looked_up = AssertionError("a round operator was looked up")
+    for solve in (run, run_csp_sg):
+        with mock.patch.object(dppd.GraphSchedule, "operator", side_effect=looked_up):
+            with pytest.raises(ValueError, match=re.escape(why)):
+                solve(problem, s, DppdConfig(K=3, U0=1.0))
 
 
 def test_run_on_nonneg_ball_with_isotropic_quadratic_completes():
     # every unconstrained prox point leaves the ball (f pulls toward -1), so
-    # each agent's step is the projection of that point
+    # each agent's step is the projection of that point; run refuses the
+    # ball (see the compile_plan test), and the per-agent rounds complete
     ball = NonnegBall(1.0, dim_=2)
     s = make_schedule(N=3, Q=1, a=0.3, seed=0, family="ring")
-    tr = run(_two_dim_problem(X0=ball), s, DppdConfig(K=40, U0=2.0))
-    assert tr.engine == "per-agent (the set is a NonnegBall, not a box)"
-    assert all(ball.contains(x, tol=0.0) for x in tr.final_state.x)
-    assert np.all(np.isfinite(tr.lagrangian))
+    state = _per_agent_rounds(_two_dim_problem(X0=ball), s, 40, 2.0)
+    assert all(ball.contains(x, tol=0.0) for x in state.x)
+    assert np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.mu))
     skew = _two_dim_problem(P=np.array([[1.0, 0.5], [0.5, 1.0]]), X0=ball)
     with pytest.raises(RuntimeError, match="primal prox failed for agent 0"):
-        run(skew, s, DppdConfig(K=2, U0=2.0))
-
-
-@pytest.mark.parametrize("solve", [run, run_csp_sg])
-def test_trace_records_engine_and_reason(solve):
-    cfg = DppdConfig(K=3, U0=1.0)
-    s = make_schedule(N=3, Q=1, a=0.3, seed=0, family="ring")
-    assert solve(_two_dim_problem(), s, cfg).engine == "compiled"
-    skew = _two_dim_problem(P=np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert solve(skew, s, cfg).engine == "per-agent (agent 0: f has a non-diagonal quadratic)"
+        _per_agent_rounds(skew, s, 2, 2.0)
 
 
 class _Quartic:
@@ -611,10 +620,11 @@ def test_function_outside_the_registry_raises_naming_its_class():
         g=tuple(VectorConstraint((Affine(np.ones(1), -0.5),)) for _ in range(N)),
         X0=X0,
     )
-    assert _start(p, 1.0)[1] == "per-agent (agent 0: f: _Quartic is not in the function registry)"
     s = make_schedule(N=N, Q=1, a=0.3, seed=0, family="ring")
-    with pytest.raises(RuntimeError, match="primal prox failed for agent 0 in round 0") as err:
+    with pytest.raises(ValueError, match="agent 0: f: _Quartic is not in the function registry"):
         run(p, s, DppdConfig(K=2, U0=1.0))
+    with pytest.raises(RuntimeError, match="primal prox failed for agent 0 in round 0") as err:
+        _per_agent_rounds(p, s, 2, 1.0)
     assert isinstance(err.value.__cause__, ProxError)
     assert "_Quartic" in str(err.value.__cause__)
 

@@ -416,7 +416,6 @@ def test_cli_run_summary_is_the_same_for_both_solvers(tmp_path, monkeypatch, cap
         assert main(["run", _write_scenario(tmp_path, text)]) == 0
         summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         keys[solver] = list(summary)
-        assert summary["engine"] == "compiled"
         err = read_trace(tmp_path / "out" / "demo.csv")
         name = "run_eval_err" if solver == "dppd" else "ergodic_eval_err"
         assert float(summary[f"final_{name}"]) == pytest.approx(err[name][-1], rel=1e-11)
