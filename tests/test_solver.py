@@ -598,6 +598,23 @@ def test_run_on_nonneg_ball_with_isotropic_quadratic_completes():
         _per_agent_rounds(skew, s, 2, 2.0)
 
 
+@pytest.mark.parametrize("solve", [run, run_csp_sg])
+def test_trace_records_engine_and_reason(solve):
+    # the compiled plan is the only engine: a problem it runs yields a trace
+    # whose last row is round K - 1 and whose final state is in the problem's
+    # (N, n) layout; a problem it declines is refused with the plan's reason
+    cfg = DppdConfig(K=3, U0=1.0)
+    s = make_schedule(N=3, Q=1, a=0.3, seed=0, family="ring")
+    trace = solve(_two_dim_problem(), s, cfg)
+    assert trace.k[-1] == cfg.K - 1
+    assert trace.final_state.x.shape == (3, 2) and trace.final_state.mu.shape == (3, 1)
+    assert np.all(np.isfinite(trace.final_state.x)) and np.all(np.isfinite(trace.lagrangian))
+    skew = _two_dim_problem(P=np.array([[1.0, 0.5], [0.5, 1.0]]))
+    why = "the problem does not compile: agent 0: f has a non-diagonal quadratic"
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        solve(skew, s, cfg)
+
+
 class _Quartic:
     """x^4/4: convex and scalar, but from outside the function registry."""
 
