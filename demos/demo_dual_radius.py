@@ -7,8 +7,8 @@ gossip schedule as the solver:
 
   1. jointly minimize the summed constraint to find a strictly feasible
      point x-check,
-  2. certify, by interleaving averaging with finite-time max-consensus
-     sweeps, that every agent agrees the constraint sum is negative there,
+  2. certify, by finite-time max-consensus sweeps with averaging between
+     them, that every agent agrees the constraint sum is negative there,
   3. agree on max_i f_i(x-check) and min_i q_i(0) by further max-consensus
      sweeps and assemble U0 = N * (f_max - q_min) / gamma.
 

@@ -3,9 +3,11 @@
 Three phases, all barrier-synchronized on the same graph schedule:
   1. find a strictly feasible point by distributed proximal minimization of
      the summed constraints,
-  2. certify strict negativity of the constraint sum through interleaved
-     average-consensus steps (the plain mix z <- A z, which keeps the agent
-     sum) and finite-time max-consensus sweeps,
+  2. certify strict negativity of the constraint sum in blocks of (N-1)*Q
+     rounds: a finite-time max-consensus sweep over the block's rounds, and
+     only for a block whose max is not negative, average-consensus steps
+     over the same rounds (the plain mix z <- A z, which keeps the agent
+     sum) for the next block,
   3. agree on max_i f_i and min_i q_i by one further max-consensus sweep
      over both columns and assemble the radius N*(f_max - q_min)/gamma_lower.
      Each local dual value q_i is exact, read from the compiled plan
@@ -18,8 +20,8 @@ segmented max over them, O(nnz) for a round with nnz positive entries.
 Those entries, the row supports, come from one scan of the round's operator
 for its positive entries, A > 0, whether the operator is an array or CSR.
 A sweep scans an operator once while it recurs within Q rounds, as every
-round of a periodic schedule does.  The averaging step of certification
-mixes through the same operators.
+round of a periodic schedule does.  The averaging of certification mixes
+through the same operators.
 
 A step only selects values that already exist, so once every row of the
 snapshot holds the same bits, every later step returns it unchanged.  A
@@ -28,7 +30,7 @@ bits, compared as uint64 (float == takes -0.0 and 0.0 as equal, but the max
 still chooses between them), before each step.  The first Q rounds are
 always read; a round past the fixed point is not, so a row with no positive
 entry in it is not reported.  The averaging has no fixed point and runs
-every round.
+every round of a block that fails; a block that certifies does not average.
 """
 
 from collections import deque
@@ -103,24 +105,6 @@ def _supports(A):
     return cols, np.cumsum(counts) - counts
 
 
-def _max_step(sched):
-    """A max-consensus step (A, s) -> np.maximum.reduceat(s[cols], starts)
-    over the row supports of round operator A.  An operator met again within
-    Q rounds, as every round of a periodic schedule is, keeps the supports
-    found at its first scan."""
-    recent = deque(maxlen=sched.Q)
-
-    def step(A, s):
-        sup = next((sup for B, sup in recent if B is A), None)
-        if sup is None:
-            sup = _supports(A)
-            recent.append((A, sup))
-        cols, starts = sup
-        return np.maximum.reduceat(s[cols], starts, axis=0)
-
-    return step
-
-
 def _agreed(s):
     """Whether every row of s holds the same bits (as uint64: -0.0 != 0.0)."""
     u = s.view(np.uint64)
@@ -148,11 +132,17 @@ def max_consensus_round(sched, k0, s, steps):
         raise ValueError(f"values must be (N,) or (N, m) with N = {sched.N}, got shape {s.shape}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    step = _max_step(sched)
+    recent = deque(maxlen=sched.Q)  # an operator met again keeps its supports
     for k in range(k0, k0 + steps):
         if k - k0 >= sched.Q and _agreed(s):
             break
-        s = step(_operator(sched, k), s)
+        A = _operator(sched, k)
+        sup = next((sup for B, sup in recent if B is A), None)
+        if sup is None:
+            sup = _supports(A)
+            recent.append((A, sup))
+        cols, starts = sup
+        s = np.maximum.reduceat(s[cols], starts, axis=0)
     return s
 
 
@@ -162,14 +152,12 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
     blocks it took (0 for a single agent, which needs no consensus).
     A local value that is not finite raises ValueError naming its agent.
 
-    Runs average consensus on z and, over the same rounds, finite-time max
-    consensus on a snapshot of z; repeats in blocks of (N-1)*Q rounds until
-    the agreed max is strictly negative.  max_rounds caps the number of
-    blocks, not of rounds.  The signum threshold test of the protocol
-    reduces to strict negativity because signum values are -1/0/1.
-
-    The averaging runs every round of a block; the max stops at its fixed
-    point as in max_consensus_round, and the rounds past it only mix z.
+    Each block of (N-1)*Q rounds first agrees on the max of z by
+    max_consensus_round over its rounds and returns it if it is strictly
+    negative; otherwise z is averaged, z <- A z, over every round of the
+    same block for the next one.  max_rounds caps the number of blocks, not
+    of rounds.  The signum threshold test of the protocol reduces to strict
+    negativity because signum values are -1/0/1.
     """
     N = p.N
     z = np.stack([gi.value(x_check) for gi in p.g])  # (N, m)
@@ -181,18 +169,13 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
         if np.all(z[0] < 0):
             return z[0].copy(), 0
         raise SlaterError("single-agent constraint value not negative")
-    step = _max_step(sched)
     for block in range(1, max_rounds + 1):
-        s, moving, k0 = z.copy(), True, (block - 1) * sigma
-        for k in range(k0, k0 + sigma):
-            A = _operator(sched, k)
-            moving = moving and (k - k0 < sched.Q or not _agreed(s))
-            if moving:
-                s = step(A, s)
-            z = A @ z
-        z_max = s[0]
+        k0 = (block - 1) * sigma
+        z_max = max_consensus_round(sched, k0, z, sigma)[0]
         if np.all(z_max < 0):
             return z_max.copy(), block
+        for k in range(k0, k0 + sigma):
+            z = _operator(sched, k) @ z
     raise SlaterError(
         "negativity certification did not terminate; check joint connectivity"
     )

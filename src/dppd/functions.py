@@ -290,6 +290,8 @@ class Problem:
         object.__setattr__(self, "g", tuple(self.g))
         if len(self.f) != len(self.g):
             raise ValueError("f and g lists must have equal length")
+        if not self.f:
+            raise ValueError("a problem needs at least one agent")
         n = self.X0.dim
         for fi in self.f:
             if fi.dim != n:

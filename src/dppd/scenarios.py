@@ -123,7 +123,10 @@ def load_scenario(path):
     b = _get(cp, "problem", "b", float, default=5.0)
     lo = _get(cp, "problem", "lo", float, default=0.0)
     hi = _get(cp, "problem", "hi", float, default=1.0)
-    problem = build_paper_example(N=N, b=b, lo=lo, hi=hi)
+    try:
+        problem = build_paper_example(N=N, b=b, lo=lo, hi=hi)
+    except ValueError as exc:
+        raise ConfigError(f"[problem] {exc}") from exc
     try:
         f_star = paper_example_reference(N=N, b=b, lo=lo, hi=hi).f_star
     except ValueError:
@@ -138,35 +141,26 @@ def load_scenario(path):
     except ValueError as exc:
         raise ConfigError(f"[graph] {exc}") from exc
 
-    rule = _get(cp, "stepsize", "rule", str, default="inv-sqrt") if cp.has_section("stepsize") else "inv-sqrt"
-    power = _get(cp, "stepsize", "power", float, default=0.5) if cp.has_section("stepsize") else 0.5
+    rule = _get(cp, "stepsize", "rule", str, default="inv-sqrt")
+    power = _get(cp, "stepsize", "power", float, default=0.5)
     try:
         stepsize = StepsizeSchedule(rule=rule, power=power)
     except ValueError as exc:
         raise ConfigError(f"[stepsize] {exc}") from exc
 
-    u0 = None
-    u0_source = "fixed"
-    if cp.has_section("dual"):
-        u0_source = _get(cp, "dual", "source", str, default="fixed")
-        u0 = _get(cp, "dual", "U0", float, default=None)
-    if u0_source == "fixed" and u0 is None:
-        u0 = 10.0
-    if u0_source == "dualbound":
-        u0 = None  # resolved at run time by the dual-bound protocol
-    elif u0_source != "fixed":
+    u0_source = _get(cp, "dual", "source", str, default="fixed")
+    if u0_source not in ("fixed", "dualbound"):
         raise ConfigError(f"unknown dual radius source {u0_source!r}")
+    u0 = _get(cp, "dual", "U0", float, default=10.0)
+    if u0_source == "dualbound":
+        u0 = 1.0  # placeholder, resolved at run time by the dual-bound protocol
 
-    trace_path = None
-    if cp.has_section("output"):
-        trace_path = _get(cp, "output", "trace", str, default=None)
-    if trace_path is None:
-        trace_path = f"{name}.csv"
+    trace_path = _get(cp, "output", "trace", str, default=f"{name}.csv")
 
     try:
         cfg = DppdConfig(
             K=K,
-            U0=u0 if u0 is not None else 1.0,  # placeholder when source=dualbound
+            U0=u0,
             stepsize=stepsize,
             stride=stride,
             f_star=f_star,

@@ -220,8 +220,9 @@ def test_max_consensus_reads_only_positive_entries_of_a_csr_round(empty):
 
 
 def test_a_sweep_scans_each_round_of_a_periodic_schedule_once(monkeypatch, paper_problem):
-    # array rounds recur every Q rounds and keep their supports; a schedule
-    # that builds each round anew is scanned at every step
+    # array rounds recur every Q rounds and keep their supports within a
+    # sweep, and each certification block sweeps once; a schedule that
+    # builds each round anew is scanned at every step
     scanned = []
     supports = dppd.dualbound._supports
     monkeypatch.setattr(dppd.dualbound, "_supports", lambda A: scanned.append(A) or supports(A))
@@ -231,7 +232,7 @@ def test_a_sweep_scans_each_round_of_a_periodic_schedule_once(monkeypatch, paper
     scanned.clear()
     s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
     _, blocks = certify_negative(paper_problem, s, np.array([1.0]))
-    assert blocks > 1 and len(scanned) == 2
+    assert blocks > 1 and len(scanned) == 2 * blocks
     scanned.clear()
     # a schedule that builds each round anew is scanned at every step up to
     # the fixed point, which these values reach within the 10 steps
@@ -327,15 +328,27 @@ def test_a_sweep_of_values_that_agree_draws_q_operators(name):
 
 
 def test_certification_past_the_fixed_point_mixes_without_scanning(monkeypatch):
-    # every round of the block is looked up for the averaging; only the
-    # first Q rounds of a schedule that builds each round anew are scanned
+    # a block that certifies looks up only the rounds its sweep reads, here
+    # the first Q of a schedule that builds each round anew; a block that
+    # fails looks up every round of the block for the averaging, without
+    # scanning one
     scanned = []
     supports = dppd.dualbound._supports
     monkeypatch.setattr(dppd.dualbound, "_supports", lambda A: scanned.append(A) or supports(A))
     s = _Drawn(_fresh_schedule(6, 2))
     z, blocks = certify_negative(_constant_problem(np.full((6, 1), -0.25)), s, np.array([0.5]))
     assert blocks == 1 and z == -0.25
-    assert s.drawn == list(range(10)) and len(scanned) == 2
+    assert s.drawn == [0, 1] and len(scanned) == 2
+    # agent 0 holds 0.1: block 1's sweep agrees after its Q steps and fails,
+    # the averaging looks up rounds 0-9, and block 2's sweep certifies at
+    # its fixed point after 3 steps, without round 13
+    scanned.clear()
+    s = _Drawn(_fresh_schedule(6, 2))
+    vals = np.array([[0.1]] + [[-0.25]] * 5)
+    z, blocks = certify_negative(_constant_problem(vals), s, np.array([0.5]))
+    ref = dualbound_reference.certify_negative(_constant_problem(vals), s.sched, np.array([0.5]))
+    assert blocks == ref[1] == 2 and np.array_equal(z.view(np.uint64), ref[0].view(np.uint64))
+    assert s.drawn == [0, 1, *range(10), 10, 11, 12] and len(scanned) == 5
 
 
 def test_a_round_past_the_fixed_point_is_not_read():

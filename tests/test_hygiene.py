@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package or of its tests imports a name
 it never uses, no module of the package keeps a private helper that the
 package never uses, every public name of a package module is read by the
-package or by the acceptance gate, and every name the benchmark harness
-reads or hooks on a package module exists."""
+package or by the acceptance gate, every name the benchmark harness
+reads or hooks on a package module exists, and the package, its tests and
+demos parse as Python 3.10, the oldest version the package supports."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import pytest
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "dppd"
 PERFBENCH = TESTS.parent / "perfbench"
+DEMOS = TESTS.parent / "demos"
 # __init__.py imports names only to re-export them; the acceptance gate is
 # frozen as released
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
@@ -184,3 +186,27 @@ def test_every_name_the_benchmark_reads_exists():
         (mod, attr) for mod, attr in reads if not hasattr(importlib.import_module(f"dppd.{mod}"), attr)
     ]
     assert missing == []
+
+
+def syntax_newer_than_3_10(source):
+    """The SyntaxError that the 3.10 grammar raises on source, or None."""
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError as exc:
+        return exc
+    return None
+
+
+def test_scan_finds_syntax_newer_than_3_10():
+    assert syntax_newer_than_3_10("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert syntax_newer_than_3_10("def first[T](xs: list[T]) -> T:\n    return xs[0]\n")
+    assert syntax_newer_than_3_10("match x:\n    case 1:\n        pass\n") is None
+
+
+def test_every_module_parses_as_python_3_10():
+    # CI runs Python 3.10 as well as a newer interpreter, which would accept
+    # syntax that 3.10 refuses
+    paths = sorted(p for d in (SRC, TESTS, DEMOS) for p in d.rglob("*.py"))
+    assert {p.parent for p in paths} >= {SRC, TESTS, DEMOS}
+    newer = [(p.name, str(exc)) for p in paths if (exc := syntax_newer_than_3_10(p.read_text()))]
+    assert newer == []

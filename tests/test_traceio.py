@@ -241,6 +241,22 @@ def test_load_scenario_defaults(tmp_path, monkeypatch, capsys):
     assert "trace:" in out and "f_star:" not in out
 
 
+@pytest.mark.parametrize(
+    "dual, source, U0",
+    [
+        ("U0 = 5.0", "fixed", 5.0),
+        ("source = fixed", "fixed", 10.0),
+        # the protocol resolves U0 at run time; the config holds a placeholder
+        ("source = dualbound\nU0 = 3.0", "dualbound", 1.0),
+    ],
+)
+def test_load_scenario_dual_radius_source(tmp_path, dual, source, U0):
+    path = tmp_path / "dual.ini"
+    path.write_text(SCENARIO_TEXT.replace("U0 = 5.0", dual))
+    scen = load_scenario(path)
+    assert (scen.u0_source, scen.config.U0) == (source, U0)
+
+
 def test_load_scenario_missing_file():
     with pytest.raises(ConfigError):
         load_scenario("/nonexistent/scenario.ini")
@@ -301,8 +317,10 @@ def test_cli_run_slater_solver_reports_the_strictly_feasible_point(tmp_path, mon
     [
         (lambda t: t.replace("U0 = 5.0", "source = nope"), "unknown dual radius source 'nope'"),
         (lambda t: t + "\n[stepsize]\nrule = inv-pow\npower = 1.5\n", "[stepsize] inv-pow exponent"),
+        (lambda t: t.replace("N = 20", "N = 0"), "[problem] a problem needs at least one agent"),
+        (lambda t: t.replace("b = 1.0", "b = 1.0\nlo = 1\nhi = 0"), "[problem] invalid box bounds"),
     ],
-    ids=["dual-source", "stepsize"],
+    ids=["dual-source", "stepsize", "no-agents", "empty-box"],
 )
 def test_cli_run_bad_dual_source_or_stepsize_exits_2(tmp_path, monkeypatch, capsys, mangle, message):
     monkeypatch.setenv("DPPD_OUTPUT_DIR", str(tmp_path / "out"))
