@@ -225,10 +225,6 @@ class Box:
     def project(self, z):
         return np.clip(_as_point(z), self.lo, self.hi)
 
-    def contains(self, z, tol=1e-12):
-        z = _as_point(z)
-        return bool(np.all(z >= self.lo - tol) and np.all(z <= self.hi + tol))
-
 
 @dataclass(frozen=True)
 class NonnegBall:
@@ -256,10 +252,6 @@ class NonnegBall:
         if nrm > self.radius:
             v = v * (self.radius / nrm)
         return v
-
-    def contains(self, z, tol=1e-12):
-        z = _as_point(z)
-        return bool(np.all(z >= -tol) and np.linalg.norm(z) <= self.radius + tol)
 
 
 def interval_of(s):
@@ -321,7 +313,3 @@ class Problem:
         for gi in self.g:
             tot += gi.value(x)
         return tot
-
-    def lagrangian(self, x, mu):
-        mu = _as_point(mu)
-        return self.objective(x) + float(mu @ self.constraint(x))

@@ -1,19 +1,15 @@
-"""Proximal subproblem solvers for the per-agent primal update.
-
-Every subproblem is solved exactly from the flattened registry
-composite: a closed form for quadratic composites and for every scalar
-quadratic-plus-weighted-log composite, and bounded-variable least squares
-for a non-separable quadratic on a box.  Any other shape, and any function
-from outside the registry, raises ProxError.  The dual update needs no
-solver: it is the projection of the ascent point onto the dual set, which
-the round takes with ``NonnegBall.project``.
+"""Proximal subproblem solvers for the per-agent primal update, and the
+package's one rule for what compiles: `flatten_composite` for a function
+and `set_bounds` for the set.  `compile_plan` and `prox_solve` both apply
+it, and refuse any other shape with a ProxError naming why in the same
+words.  What compiles has a closed-form minimizer, clamped coordinate by
+coordinate to the set.  The dual update needs no solver: it is the
+projection of the ascent point onto the dual set (``NonnegBall.project``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.optimize import lsq_linear
 
 from .functions import Affine, Box, NegLog, Quadratic, Scaled, Sum, interval_of
 
@@ -26,7 +22,7 @@ __all__ = [
 ]
 
 class ProxError(RuntimeError):
-    """The subproblem has a shape, or a function, that no exact path solves."""
+    """The subproblem has a shape, or a function, that does not compile."""
 
 
 @dataclass(frozen=True)
@@ -58,23 +54,12 @@ def prox_quadratic(P, q, v, alpha):
     return np.linalg.solve(np.eye(n) + alpha * P, v - alpha * q)
 
 
-def _box_qp(P, q, v, alpha, box):
-    """Exact minimizer of x.P.x/2 + q.x + ||x-v||^2/(2*alpha) over a box.
-
-    Times alpha, the objective is x.H.x/2 - b.x with H = I + alpha*P = L L^T
-    and b = v - alpha*q, which is ||L^T x - L^{-1} b||^2/2 up to a constant:
-    a bounded least-squares problem that BVLS solves by active sets.  The
-    clip only takes back the last-ulp overshoot of a bound.
-    """
-    L = np.linalg.cholesky(np.eye(v.shape[0]) + alpha * P)
-    y = solve_triangular(L, v - alpha * q, lower=True)
-    return box.project(lsq_linear(L.T, y, bounds=(box.lo, box.hi), method="bvls").x)
-
-
-def flatten_composite(f):
-    """Reduce a registry function to (P, q, r, w): quadratic part plus a
-    -w*log(1+x) term.  Returns None for a log term with n != 1; raises
-    ProxError naming the class of a term from outside the registry."""
+def flatten_composite(f, name):
+    """(d, q, r, w) of a registry function: the diagonal of its quadratic
+    part, its linear part, its constant and the weight w of its -w*log(1+x)
+    term.  Raises ProxError naming f by `name` when f does not compile: a
+    term from outside the registry, a log term with n != 1, or a quadratic
+    part that is not diagonal."""
     n = f.dim
 
     def rec(fn, scale):
@@ -94,13 +79,30 @@ def flatten_composite(f):
             for t in fn.terms:
                 rec(t, scale)
         else:
-            raise ProxError(f"{type(fn).__name__} is not in the function registry")
+            raise ProxError(f"{name}: {type(fn).__name__} is not in the function registry")
 
     acc = {"P": np.zeros((n, n)), "q": np.zeros(n), "r": 0.0, "w": 0.0}
     rec(f, 1.0)
     if acc["w"] != 0.0 and n != 1:
-        return None
-    return acc["P"], acc["q"], acc["r"], acc["w"]
+        raise ProxError(f"{name} is not a sum of quadratic and affine terms")
+    P = acc["P"]
+    d = np.diag(P)
+    if n > 1 and np.any(P - np.diag(d)):
+        raise ProxError(f"{name} has a non-diagonal quadratic")
+    return d, acc["q"], acc["r"], acc["w"]
+
+
+def set_bounds(s, w):
+    """(lo, hi) bounding every coordinate of s: floats for an interval
+    (n == 1), arrays for a box.  Raises ProxError naming s for any other
+    set, and, when a log weight in w is nonzero, for a set reaching x = -1."""
+    n = s.dim
+    iv = interval_of(s) if n == 1 else (s.lo, s.hi) if isinstance(s, Box) else None
+    if iv is None:
+        raise ProxError(f"the set is a {type(s).__name__}, not {'an interval' if n == 1 else 'a box'}")
+    if np.any(w) and iv[0] <= -1.0:
+        raise ProxError("the set reaches x = -1, outside the log terms' domain")
+    return iv
 
 
 def neglog_prox_root(p, q, w, v, alpha):
@@ -121,41 +123,13 @@ def neglog_prox_root(p, q, w, v, alpha):
 
 
 def prox_solve(qy):
-    """argmin over qy.set of qy.objective(x) + ||x - anchor||^2/(2*alpha)."""
-    v, alpha, s = qy.anchor, qy.alpha, qy.set
-    n = v.shape[0]
-    flat = flatten_composite(qy.objective)
-    if flat is None:
-        raise ProxError(f"no closed form for a log term in {n} dimensions")
-    P, q, r, w = flat
+    """argmin over qy.set of qy.objective(x) + ||x - anchor||^2/(2*alpha);
+    ProxError, with compile_plan's reason, when the subproblem does not compile."""
+    d, q, r, w = flatten_composite(qy.objective, "the objective")
+    lo, hi = set_bounds(qy.set, w)
     if w == 0.0:
-        x_u = prox_quadratic(P, q, v, alpha)
-        if s.contains(x_u):
-            # contains allows a tolerance; the projection takes it back
-            return s.project(x_u)
-        if isinstance(s, Box):
-            if n == 1 or not np.any(P - np.diag(np.diag(P))):
-                # separable quadratic: clamping each coordinate is exact
-                return s.project(x_u)
-            return _box_qp(P, q, v, alpha, s)
-        iv = interval_of(s)
-        if iv is not None:
-            return np.array([np.clip(x_u[0], iv[0], iv[1])])
-        c = P[0, 0]
-        if c >= 0.0 and not np.any(P - c * np.eye(n)):
-            # P = c*I: the penalized objective is (1 + alpha*c)/(2*alpha)
-            # * ||x - x_u||^2 plus a constant, so its minimizer over the
-            # set is the projection of x_u
-            return s.project(x_u)
-        raise ProxError(
-            f"no closed form for a non-isotropic {n}x{n} quadratic on a {type(s).__name__}"
-        )
-    # scalar quadratic + weighted log
-    iv = interval_of(s)
-    if iv is None:
-        raise ProxError("log composite requires a 1-D feasible set")
-    lo, hi = iv
-    if lo <= -1.0:
-        raise ProxError("feasible set must lie in the log domain x > -1")
-    root = neglog_prox_root(float(P[0, 0]), float(q[0]), w, float(v[0]), alpha)
-    return np.array([min(max(root, lo), hi)])
+        x = prox_quadratic(np.diag(d), q, qy.anchor, qy.alpha)
+    else:
+        x = neglog_prox_root(d, q, w, qy.anchor, qy.alpha)
+    # the objective is separable, so clamping each coordinate is exact
+    return np.clip(x, lo, hi)

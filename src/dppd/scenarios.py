@@ -28,9 +28,17 @@ configparser.  Example::
 
     [output]
     trace = fig1.csv
+
+Values are read as written (no interpolation: ``%%`` is two characters).
+A number must be finite, ``lo`` above -1 and ``trace`` a file name.  A key
+the loader does not read from its section, a misspelt one say, is a
+ConfigError naming the section, the key and the keys the section defines,
+and so are ``[DEFAULT]`` keys, which configparser adds to every section.
 """
 
 import configparser
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +46,7 @@ import numpy as np
 from .functions import Affine, Box, NegLog, Problem, VectorConstraint
 from .graphs import make_schedule
 from .oracle import solve_example_family
+from .proxops import ProxError, set_bounds
 from .solver import DppdConfig, StepsizeSchedule
 
 __all__ = [
@@ -80,82 +89,101 @@ class Scenario:
     u0_source: str = "fixed"  # fixed | dualbound (resolved at run time)
 
 
-def _get(cp, section, key, cast, default=None, required=False):
+def _get(cp, read, section, key, cast, default=None, required=False):
+    """section's key cast, or default; read (section -> {parsed key: key})
+    records it as a key the section defines."""
+    read.setdefault(section, {})[cp.optionxform(key)] = key
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"[{section}] missing required key {key!r}")
         return default
     raw = cp.get(section, key)
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r}: not a finite number")
+    return value
 
 
 def load_scenario(path):
     """Parse a scenario file into problem, schedule, and solver config."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if cp.defaults():
+        raise ConfigError(f"[DEFAULT] keys are not supported: {', '.join(cp.defaults())}")
+    read = {}
 
     for section in ("scenario", "problem", "graph"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
 
-    name = _get(cp, "scenario", "name", str, default="unnamed")
-    solver = _get(cp, "scenario", "solver", str, default="dppd")
+    name = _get(cp, read, "scenario", "name", str, default="unnamed")
+    solver = _get(cp, read, "scenario", "solver", str, default="dppd")
     if solver not in ("dppd", "csp_sg", "slater", "dualbound"):
         raise ConfigError(f"unknown solver {solver!r}")
-    K = _get(cp, "scenario", "K", int, required=True)
+    K = _get(cp, read, "scenario", "K", int, required=True)
     if solver in ("dppd", "csp_sg") and K < 2:
         # a trace records rounds k >= 1 only
         raise ConfigError(f"[scenario] solver {solver} needs K >= 2, got {K}")
-    stride = _get(cp, "scenario", "stride", int, default=10)
-    seed = _get(cp, "scenario", "seed", int, default=0)
+    stride = _get(cp, read, "scenario", "stride", int, default=10)
+    seed = _get(cp, read, "scenario", "seed", int, default=0)
 
-    builtin = _get(cp, "problem", "builtin", str, required=True)
+    builtin = _get(cp, read, "problem", "builtin", str, required=True)
     if builtin != "paper_example":
         raise ConfigError(f"unknown builtin problem {builtin!r}")
-    N = _get(cp, "problem", "N", int, default=100)
-    b = _get(cp, "problem", "b", float, default=5.0)
-    lo = _get(cp, "problem", "lo", float, default=0.0)
-    hi = _get(cp, "problem", "hi", float, default=1.0)
+    N = _get(cp, read, "problem", "N", int, default=100)
+    b = _get(cp, read, "problem", "b", float, default=5.0)
+    lo = _get(cp, read, "problem", "lo", float, default=0.0)
+    hi = _get(cp, read, "problem", "hi", float, default=1.0)
     try:
         problem = build_paper_example(N=N, b=b, lo=lo, hi=hi)
-    except ValueError as exc:
+        set_bounds(problem.X0, 1.0)  # the log terms' domain
+    except (ValueError, ProxError) as exc:
         raise ConfigError(f"[problem] {exc}") from exc
     try:
         f_star = paper_example_reference(N=N, b=b, lo=lo, hi=hi).f_star
     except ValueError:
         f_star = None
 
-    family = _get(cp, "graph", "family", str, default="round-robin")
-    Q = _get(cp, "graph", "Q", int, default=1)
-    a = _get(cp, "graph", "a", float, default=0.1)
-    gseed = _get(cp, "graph", "seed", int, default=seed)
+    family = _get(cp, read, "graph", "family", str, default="round-robin")
+    Q = _get(cp, read, "graph", "Q", int, default=1)
+    a = _get(cp, read, "graph", "a", float, default=0.1)
+    gseed = _get(cp, read, "graph", "seed", int, default=seed)
     try:
         schedule = make_schedule(N=N, Q=Q, a=a, seed=gseed, family=family)
     except ValueError as exc:
         raise ConfigError(f"[graph] {exc}") from exc
 
-    rule = _get(cp, "stepsize", "rule", str, default="inv-sqrt")
-    power = _get(cp, "stepsize", "power", float, default=0.5)
+    rule = _get(cp, read, "stepsize", "rule", str, default="inv-sqrt")
+    power = _get(cp, read, "stepsize", "power", float, default=0.5)
     try:
         stepsize = StepsizeSchedule(rule=rule, power=power)
     except ValueError as exc:
         raise ConfigError(f"[stepsize] {exc}") from exc
 
-    u0_source = _get(cp, "dual", "source", str, default="fixed")
+    u0_source = _get(cp, read, "dual", "source", str, default="fixed")
     if u0_source not in ("fixed", "dualbound"):
         raise ConfigError(f"unknown dual radius source {u0_source!r}")
-    u0 = _get(cp, "dual", "U0", float, default=10.0)
+    u0 = _get(cp, read, "dual", "U0", float, default=10.0)
     if u0_source == "dualbound":
         u0 = 1.0  # placeholder, resolved at run time by the dual-bound protocol
 
-    trace_path = _get(cp, "output", "trace", str, default=f"{name}.csv")
+    trace_path = _get(cp, read, "output", "trace", str, default=f"{name}.csv")
+    if not os.path.basename(trace_path):
+        raise ConfigError(f"[output] trace = {trace_path!r} names no file")
+
+    for section in cp.sections():
+        known = read.get(section, {})
+        for key in cp.options(section):
+            if key not in known:
+                defines = ", ".join(known.values()) or "no keys"
+                raise ConfigError(f"[{section}] unknown key {key!r}; [{section}] defines {defines}")
 
     try:
         cfg = DppdConfig(

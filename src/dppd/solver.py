@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .functions import Box, NonnegBall, Scaled, Sum, interval_of
+from .functions import NonnegBall, Scaled, Sum
 from .graphs import _operator, mix
-from .proxops import ProxError, ProxQuery, flatten_composite, neglog_prox_root, prox_solve
+from .proxops import ProxError, ProxQuery, flatten_composite, neglog_prox_root, prox_solve, set_bounds
 
 __all__ = [
     "StepsizeSchedule",
@@ -131,8 +131,8 @@ class DppdConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        if self.U0 <= 0:
-            raise ValueError("dual radius must be positive")
+        if not (math.isfinite(self.U0) and self.U0 > 0):
+            raise ValueError("dual radius must be finite and positive")
         if self.stride < 1:
             raise ValueError("stride must be positive")
 
@@ -351,41 +351,25 @@ def _quad_prox(xhat, p, q, alpha):
 
 def compile_plan(p):
     """(plan, None) with the plan for p, or (None, why) when p does not
-    compile, why naming the set, or the first agent and term, that does
-    not flatten.
-
-    p compiles when its set is an interval (n == 1) or a box, and every
-    f_i and g_il flattens to a diagonal quadratic plus affine terms, plus a
-    -w*log(1+x) term when n == 1.  Clipping each coordinate is then the
-    exact projection of every step.
-    """
+    compile by the rule in `proxops` that `prox_solve` also applies, why
+    naming the set, or the first agent and term, that does not.  Clipping
+    each coordinate is then the exact projection of every step."""
     N, n, m = p.N, p.n, p.m
-    if n == 1:
-        iv = interval_of(p.X0)
-    else:
-        iv = (p.X0.lo, p.X0.hi) if isinstance(p.X0, Box) else None
-    if iv is None:
-        return None, f"the set is a {type(p.X0).__name__}, not {'an interval' if n == 1 else 'a box'}"
     terms = []
     for i, (fi, gi) in enumerate(zip(p.f, p.g)):
         for label, fn in (("f", fi), *((f"g[{l}]", c) for l, c in enumerate(gi.components))):
             try:
-                flat = flatten_composite(fn)
+                terms.append(flatten_composite(fn, label))
             except ProxError as exc:
-                return None, f"agent {i}: {label}: {exc}"
-            if flat is None:
-                return None, f"agent {i}: {label} is not a sum of quadratic and affine terms"
-            P, q, r, w = flat
-            d = np.diag(P)
-            if n > 1 and np.any(P - np.diag(d)):
-                return None, f"agent {i}: {label} has a non-diagonal quadratic"
-            terms.append((d, q, r, w))
+                return None, f"agent {i}: {exc}"
     # per agent, f_i then each g_il; a coordinate axis only when n > 1
     d, q, r, w = (np.array(a) for a in zip(*terms))
     d, q = (a.reshape((N, 1 + m) + ((n,) if n > 1 else ())) for a in (d, q))
     r, w = (a.reshape(N, 1 + m) for a in (r, w))
-    if np.any(w) and iv[0] <= -1.0:
-        return None, "the set reaches x = -1, outside the log terms' domain"
+    try:
+        iv = set_bounds(p.X0, w)
+    except ProxError as exc:
+        return None, str(exc)
     pf, qf, wf, rf, pg, qg, wg, rg = (
         np.ascontiguousarray(a[:, j]) for j in (0, 1 if m == 1 else slice(1, None)) for a in (d, q, w, r)
     )

@@ -1,9 +1,14 @@
 """Proximal subproblem solvers: closed forms against a reference bisection,
-the error for a function outside the registry, and the dual step."""
+the one rule for what compiles, shared with compile_plan, and the dual
+step."""
+
+import functools
+import re
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppd import (
     Affine,
@@ -15,11 +20,14 @@ from dppd import (
     Quadratic,
     Scaled,
     Sum,
+    Problem,
+    VectorConstraint,
     prox_quadratic,
     prox_solve,
 )
 from dppd.proxops import flatten_composite, neglog_prox_root
 from dppd.functions import constant
+from dppd.solver import compile_plan
 
 from proxops_reference import bisect_scalar
 
@@ -99,17 +107,18 @@ def test_flatten_composite_collects_terms():
             Quadratic(np.array([[0.4]]), np.array([-0.2]), 0.0),
         )
     )
-    P, q, r, w = flatten_composite(f)
-    assert P[0, 0] == pytest.approx(0.4)
+    d, q, r, w = flatten_composite(f, "f")
+    assert d[0] == pytest.approx(0.4)
     assert q[0] == pytest.approx(0.3)
     assert r == pytest.approx(1.0 + 0.2)
     assert w == pytest.approx(1.6)
 
 
 def test_flatten_rejects_vector_log_mix():
-    f = Sum((Affine(np.ones(2)), ))
-    P, q, r, w = flatten_composite(f)
-    assert w == 0.0 and P.shape == (2, 2)
+    d, q, r, w = flatten_composite(Sum((Affine(np.ones(2)), )), "f")
+    assert w == 0.0 and d.shape == (2,)
+    with pytest.raises(ProxError, match="^f is not a sum of quadratic and affine terms$"):
+        flatten_composite(Sum((Affine(np.ones(2)), NegLog(1.0))), "f")
 
 
 def test_neglog_prox_root_matches_bisection():
@@ -217,23 +226,23 @@ def test_prox_solve_quadratic_plus_log_vs_bisection():
         assert out == pytest.approx(ref, abs=1e-9)
 
 
-@pytest.mark.parametrize("case", ["interval", "box-qp", "nonneg-ball"])
+@pytest.mark.parametrize("case", ["interval", "box", "nonneg-ball"])
 def test_prox_solve_returns_a_point_inside_the_set(case):
-    # anchors a few 1e-13 outside the set, inside contains' default tolerance
+    # anchors a few 1e-13 outside the set [0, 1]^n
     if case == "interval":
         s = Box(np.array([0.0]), np.array([1.0]))
         obj, v, alpha = constant(1, 0.0), np.array([1.0 + 5e-13]), 0.5
-    elif case == "box-qp":
+    elif case == "box":
         s = Box(np.zeros(2), np.ones(2))
-        P, q, alpha = np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2]), 0.7
+        P, q, alpha = np.diag([1.0, 0.5]), np.array([0.3, -0.2]), 0.7
         obj = Quadratic(P, q)
         v = (np.eye(2) + alpha * P) @ np.array([1.0 + 5e-13, 0.4]) + alpha * q
         assert 1.0 < prox_quadratic(P, q, v, alpha)[0]
     else:
-        s = NonnegBall(1.0, dim_=2)
-        obj, v, alpha = constant(2, 0.0), np.array([0.6, 0.8 + 4e-13]), 0.5
+        s = NonnegBall(1.0)
+        obj, v, alpha = constant(1, 0.0), np.array([1.0 + 4e-13]), 0.5
     x = prox_solve(ProxQuery(obj, v, alpha, s))
-    assert s.contains(x, tol=0.0)
+    assert np.all((0.0 <= x) & (x <= 1.0))
 
 
 def test_prox_solve_quadratic_box_vs_grid():
@@ -253,67 +262,19 @@ def test_prox_solve_quadratic_box_vs_grid():
         assert out == pytest.approx(ref, abs=1e-5)
 
 
-def test_prox_solve_non_separable_quadratic_on_box_vs_minimizer():
-    # a non-diagonal P on a box, anchors outside it: the exact box QP against
-    # an independent L-BFGS-B run on the penalized objective
-    rng = np.random.default_rng(0)
-    for n in (2, 3):
-        for _ in range(15):
-            M = rng.normal(size=(n, n))
-            P, q = M @ M.T, rng.normal(size=n)
-            lo = rng.uniform(-1.0, 0.0, n)
-            hi = lo + rng.uniform(0.2, 1.5, n)
-            v = np.where(rng.random(n) < 0.5, lo - rng.uniform(0.5, 2.0, n), hi + rng.uniform(0.5, 2.0, n))
-            alpha = rng.uniform(0.1, 2.0)
-            x = prox_solve(ProxQuery(Quadratic(P, q), v, alpha, Box(lo, hi)))
-
-            def F(z):
-                return 0.5 * z @ P @ z + q @ z + (z - v) @ (z - v) / (2 * alpha)
-
-            ref = minimize(
-                F, np.clip(v, lo, hi), jac=lambda z: P @ z + q + (z - v) / alpha,
-                method="L-BFGS-B", bounds=list(zip(lo, hi)),
-                options={"ftol": 0.0, "gtol": 1e-14, "maxiter": 10_000},
-            ).x
-            assert np.all((lo <= x) & (x <= hi))
-            assert np.abs(x - ref).max() <= 1e-8
-            assert F(x) <= F(ref) + 1e-12
-
-
-def test_prox_solve_isotropic_quadratic_on_nonneg_ball_vs_minimizer():
-    # P = c*I (c = 0 too) on a NonnegBall, anchors whose unconstrained point
-    # leaves the set: the projection against an independent SLSQP run
-    ball = NonnegBall(1.0, dim_=2)
-    cases = [(1.0, np.ones(2), np.array([3.0, 3.0]), 1.0)]  # x_u = (1, 1)
-    rng = np.random.default_rng(8)
-    for _ in range(15):
-        cases.append((rng.choice([0.0, rng.uniform(0.1, 3.0)]), rng.normal(size=2),
-                      rng.uniform(-2.0, 4.0, 2), rng.uniform(0.1, 2.0)))
-    for c, q, v, alpha in cases:
-        P = c * np.eye(2)
-        x = prox_solve(ProxQuery(Quadratic(P, q), v, alpha, ball))
-
-        def F(z):
-            return 0.5 * z @ P @ z + q @ z + (z - v) @ (z - v) / (2 * alpha)
-
-        ref = minimize(
-            F, np.full(2, 0.5), jac=lambda z: P @ z + q + (z - v) / alpha, method="SLSQP",
-            bounds=[(0.0, None)] * 2,
-            constraints=[{"type": "ineq", "fun": lambda z: 1.0 - z @ z, "jac": lambda z: -2.0 * z}],
-            options={"ftol": 1e-15, "maxiter": 1000},
-        ).x
-        assert ball.contains(x, tol=0.0)
-        assert np.abs(x - ref).max() <= 1e-8
-    assert prox_solve(ProxQuery(Quadratic(np.eye(2), np.ones(2)), np.array([3.0, 3.0]), 1.0, ball)) == (
-        pytest.approx(np.full(2, np.sqrt(0.5)), abs=1e-15)
-    )
-
-
 def test_prox_solve_non_isotropic_quadratic_on_nonneg_ball_names_set_and_shape():
-    P = np.array([[1.0, 0.5], [0.5, 1.0]])
-    qy = ProxQuery(Quadratic(P, np.ones(2)), np.array([3.0, 3.0]), 1.0, NonnegBall(1.0, dim_=2))
-    with pytest.raises(ProxError, match="non-isotropic 2x2 quadratic on a NonnegBall"):
-        prox_solve(qy)
+    # the plan runs a diagonal quadratic on an interval or a box only, and
+    # prox_solve refuses anything else with the plan's reason: a quadratic
+    # that is not diagonal, on any set, then a set that is not a box
+    skew = np.array([[1.0, 0.5], [0.5, 1.0]])
+    ball, box = NonnegBall(1.0, dim_=2), Box(np.zeros(2), np.ones(2))
+    for P, s, why in (
+        (skew, ball, "the objective has a non-diagonal quadratic"),
+        (skew, box, "the objective has a non-diagonal quadratic"),
+        (np.eye(2), ball, "the set is a NonnegBall, not a box"),
+    ):
+        with pytest.raises(ProxError, match=f"^{re.escape(why)}$"):
+            prox_solve(ProxQuery(Quadratic(P, np.ones(2)), np.array([3.0, 3.0]), 1.0, s))
 
 
 def test_prox_solve_optimality_certificate():
@@ -365,14 +326,83 @@ def test_prox_solve_clips_to_the_radius_of_a_scalar_nonneg_ball():
     "obj, X0, message",
     [
         (Sum((Affine(np.zeros(2)), NegLog(1.0))), Box(np.zeros(2), np.ones(2)),
-         "no closed form for a log term in 2 dimensions"),
+         "the objective is not a sum of quadratic and affine terms"),
         (NegLog(1.0), Box(np.array([-1.0]), np.array([1.0])),
-         "feasible set must lie in the log domain"),
+         "the set reaches x = -1, outside the log terms' domain"),
     ],
 )
 def test_prox_solve_refuses_a_log_term_it_cannot_solve(obj, X0, message):
-    with pytest.raises(ProxError, match=message):
+    with pytest.raises(ProxError, match=f"^{re.escape(message)}$"):
         prox_solve(ProxQuery(obj, np.zeros(X0.dim), 1.0, X0))
+
+
+class _Outside:
+    """A function from outside the registry; only its dimension is read."""
+
+    def __init__(self, n):
+        self.dim = n
+
+
+def _rule_leaf(n):
+    """Registry leaves on R^n, with the shapes the rule refuses among them:
+    a non-diagonal quadratic (n = 2), a scalar log term in any dimension,
+    and a function from outside the registry."""
+    vec = st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n).map(np.array)
+    diag = st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n).map(np.diag)
+    leaves = [
+        st.builds(Affine, vec, st.floats(-1.5, 1.5)),
+        st.builds(Quadratic, diag, vec),
+        st.builds(NegLog, st.floats(0.0, 1.5), st.floats(-1.5, 1.5)),
+        st.just(_Outside(n)),
+    ]
+    if n == 2:
+        leaves.append(st.just(Quadratic(np.array([[1.0, 0.5], [0.5, 1.0]]), np.zeros(2))))
+    return st.one_of(leaves)
+
+
+@functools.cache  # built once: hypothesis validates every new strategy object
+def _rule_composite(n):
+    """A registry composition on R^n: an affine term of dimension n, so the
+    sum has that dimension, plus Scaled/Sum trees of leaves."""
+    tree = st.recursive(
+        _rule_leaf(n),
+        lambda inner: st.one_of(
+            st.builds(Scaled, inner, st.sampled_from([0.0, 0.5, 1.0])),
+            st.builds(lambda ts: Sum(tuple(ts)), st.lists(inner, min_size=1, max_size=3)),
+        ),
+        max_leaves=4,
+    )
+    head = st.builds(Affine, st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n).map(np.array))
+    return st.builds(lambda h, ts: Sum((h, *ts)), head, st.lists(tree, max_size=2))
+
+
+_RULE_SETS = {
+    "box-1d": Box(np.array([-0.5]), np.array([1.0])),
+    "box-2d": Box(np.full(2, -0.5), np.ones(2)),
+    "ball-1d": NonnegBall(1.0),
+    "ball-2d": NonnegBall(1.0, dim_=2),
+    "interval-to--1": Box(np.array([-1.0]), np.array([1.0])),
+}
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_prox_solve_refuses_exactly_what_compile_plan_refuses(data):
+    # one rule: for a one-agent problem whose constraint compiles,
+    # prox_solve refuses the objective on the set exactly when compile_plan
+    # refuses the problem, and in the same words after "agent 0: f"
+    s = _RULE_SETS[data.draw(st.sampled_from(sorted(_RULE_SETS)), label="set")]
+    f = data.draw(_rule_composite(s.dim), label="objective")
+    plan, why = compile_plan(Problem(f=(f,), g=(VectorConstraint((Affine(np.zeros(s.dim)),)),), X0=s))
+    try:
+        x = prox_solve(ProxQuery(f, np.zeros(s.dim), 0.5, s))
+    except ProxError as exc:
+        assert plan is None
+        assert str(exc) == why.replace("agent 0: f", "the objective", 1)
+    else:
+        assert why is None
+        lo, hi = (s.lo, s.hi) if isinstance(s, Box) else (0.0, s.radius)
+        assert np.all((lo <= x) & (x <= hi))
 
 
 # ------------------------------------------------------------ dual prox step

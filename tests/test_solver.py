@@ -71,8 +71,9 @@ def test_alpha0_is_free_but_positive():
 def test_config_validation():
     with pytest.raises(ValueError):
         DppdConfig(K=0, U0=1.0)
-    with pytest.raises(ValueError):
-        DppdConfig(K=10, U0=-1.0)
+    for U0 in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^dual radius must be finite and positive$"):
+            DppdConfig(K=10, U0=U0)
     with pytest.raises(ValueError):
         DppdConfig(K=10, U0=1.0, stride=0)
 
@@ -373,9 +374,8 @@ def test_feasibility_invariant(paper_problem, short_run):
     x = short_run.final_state.x
     mu = short_run.final_state.mu
     assert np.all(x >= -1e-12) and np.all(x <= 1.0 + 1e-12)
-    U = NonnegBall(10.0, dim_=1)
-    for i in range(paper_problem.N):
-        assert U.contains(mu[i], tol=1e-9)
+    # every dual lies in the dual set {mu >= 0, |mu| <= U0 = 10}
+    assert np.all(mu >= -1e-9) and np.all(np.linalg.norm(mu, axis=1) <= 10.0 + 1e-9)
 
 
 def test_determinism_bitwise(paper_problem):
@@ -488,8 +488,8 @@ def test_schedule_size_mismatch_rejected():
 
 
 def _per_agent_rounds(p, sched, K, U0):
-    """The state after K rounds of dppd_round from the initial state, for a
-    problem that run refuses because it does not compile."""
+    """The state after K rounds of dppd_round, the per-agent reference,
+    from the initial state."""
     state, ss = initial_state(p, U0), StepsizeSchedule()
     for k in range(K):
         state = dppd_round(p, sched.matrix(k), state, ss.alpha(k), U0)
@@ -508,9 +508,9 @@ def _per_agent_rounds(p, sched, K, U0):
 def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
     # a NaN weight in agent 2's row reaches its iterates in round 0; the box
     # keeps x away from 0 so the NaN is not multiplied by an exact zero.  The
-    # compiled engine catches it at the averages; run refuses a non-diagonal
-    # P, and the per-agent rounds' prox rejects the NaN anchor first; the
-    # comparator catches it in its ergodic sums.
+    # compiled engine catches it at the averages; the per-agent rounds' prox
+    # rejects the NaN anchor first; the comparator catches it in its ergodic
+    # sums.
     N = 4
     A = np.full((N, N), 1.0 / N)
     A[2, 1] = np.nan
@@ -518,7 +518,7 @@ def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
     if engine in ("generic", "compiled-2d"):
         # f_i is smallest at (0.6, 0.6), so agents 0 and 1 step inside the
         # box, where the generic prox needs no projection
-        P = np.array([[1.0, 0.5], [0.5, 1.0]]) if engine == "generic" else np.eye(2)
+        P = np.diag([1.0, 2.0]) if engine == "generic" else np.eye(2)
         p = Problem(
             f=tuple(Quadratic(P, -P @ np.full(2, 0.6)) for _ in range(N)),
             g=tuple(VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N)),
@@ -526,7 +526,7 @@ def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
         )
     else:
         p = dppd.build_paper_example(N=N, b=0.2, lo=0.25, hi=1.0)
-    assert (compile_plan(p)[0] is None) == (engine == "generic")
+    assert compile_plan(p)[0] is not None
     cfg = DppdConfig(K=5, U0=1.0)
     with pytest.raises(error, match="agent 2 in round 0"):
         if engine == "generic":
@@ -535,11 +535,21 @@ def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
             (run_csp_sg if engine == "comparator" else run)(p, sched, cfg)
 
 
+def _refused_by_both_engines(p, why, prox_why):
+    """run refuses p with the plan's reason why, and the per-agent rounds
+    refuse it in round 0, their prox naming the same reason as prox_why."""
+    s = make_schedule(N=p.N, Q=1, a=0.3, seed=0, family="ring")
+    with pytest.raises(ValueError, match=f"^the problem does not compile: {re.escape(why)}$"):
+        run(p, s, DppdConfig(K=3, U0=1.0))
+    with pytest.raises(RuntimeError, match="primal prox failed for agent 0 in round 0") as err:
+        _per_agent_rounds(p, s, 2, 1.0)
+    assert isinstance(err.value.__cause__, ProxError)
+    assert str(err.value.__cause__) == prox_why
+
+
 def test_run_on_non_separable_quadratic_on_box():
-    # f_i = x.Px/2 + (1, 1).x increases over the box [0.25, 1]^2, so every
-    # prox lands on the box's boundary, which no closed form reaches for a
-    # non-diagonal P; run refuses the problem (see the compile_plan test),
-    # and the per-agent rounds solve the box QP exactly
+    # a non-diagonal P on a box: no closed form clamps it, so the plan and
+    # the per-agent prox refuse it by the same rule
     N = 4
     P = np.array([[1.0, 0.5], [0.5, 1.0]])
     p = Problem(
@@ -547,10 +557,9 @@ def test_run_on_non_separable_quadratic_on_box():
         g=tuple(VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N)),
         X0=Box(np.full(2, 0.25), np.ones(2)),
     )
-    s = make_schedule(N=N, Q=1, a=0.2, seed=0, family="ring")
-    x = _per_agent_rounds(p, s, 50, 1.0).x
-    assert np.all((0.25 <= x) & (x <= 1.0))
-    assert x.mean(axis=0) == pytest.approx([0.25, 0.25], abs=1e-12)
+    _refused_by_both_engines(
+        p, "agent 0: f has a non-diagonal quadratic", "the objective has a non-diagonal quadratic"
+    )
 
 
 def _two_dim_problem(N=3, P=np.eye(2), X0=Box(np.full(2, -1.0), np.ones(2)), log_agent=None):
@@ -585,17 +594,10 @@ def test_compile_plan_declines_what_does_not_flatten(problem, why):
 
 
 def test_run_on_nonneg_ball_with_isotropic_quadratic_completes():
-    # every unconstrained prox point leaves the ball (f pulls toward -1), so
-    # each agent's step is the projection of that point; run refuses the
-    # ball (see the compile_plan test), and the per-agent rounds complete
-    ball = NonnegBall(1.0, dim_=2)
-    s = make_schedule(N=3, Q=1, a=0.3, seed=0, family="ring")
-    state = _per_agent_rounds(_two_dim_problem(X0=ball), s, 40, 2.0)
-    assert all(ball.contains(x, tol=0.0) for x in state.x)
-    assert np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.mu))
-    skew = _two_dim_problem(P=np.array([[1.0, 0.5], [0.5, 1.0]]), X0=ball)
-    with pytest.raises(RuntimeError, match="primal prox failed for agent 0"):
-        _per_agent_rounds(skew, s, 2, 2.0)
+    # a 2-D NonnegBall is not a box: the plan and the per-agent prox refuse
+    # it by the same rule, even with an isotropic quadratic
+    why = "the set is a NonnegBall, not a box"
+    _refused_by_both_engines(_two_dim_problem(X0=NonnegBall(1.0, dim_=2)), why, why)
 
 
 @pytest.mark.parametrize("solve", [run, run_csp_sg])

@@ -1,9 +1,16 @@
 """Trace CSV round trips, comparison reports, scenario files, and the CLI."""
 
+import contextlib
+import io
+import os
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dppd
 from dppd import (
@@ -262,6 +269,14 @@ def test_load_scenario_missing_file():
         load_scenario("/nonexistent/scenario.ini")
 
 
+def test_load_scenario_reads_percent_signs_as_written(tmp_path):
+    # no interpolation: a lone % is a character, and %% is two of them
+    path = tmp_path / "pct.ini"
+    path.write_text(SCENARIO_TEXT.replace("name = demo", "name = demo%").replace("demo.csv", "100%%.csv"))
+    scen = load_scenario(path)
+    assert (scen.name, scen.trace_path) == ("demo%", "100%%.csv")
+
+
 # ------------------------------------------------------------------------ CLI
 
 
@@ -319,8 +334,24 @@ def test_cli_run_slater_solver_reports_the_strictly_feasible_point(tmp_path, mon
         (lambda t: t + "\n[stepsize]\nrule = inv-pow\npower = 1.5\n", "[stepsize] inv-pow exponent"),
         (lambda t: t.replace("N = 20", "N = 0"), "[problem] a problem needs at least one agent"),
         (lambda t: t.replace("b = 1.0", "b = 1.0\nlo = 1\nhi = 0"), "[problem] invalid box bounds"),
+        (lambda t: t.replace("b = 1.0", "b = nan"), "[problem] b = 'nan': not a finite number"),
+        (lambda t: t.replace("b = 1.0", "b = inf"), "[problem] b = 'inf': not a finite number"),
+        (lambda t: t.replace("a = 0.1", "a = -inf"), "[graph] a = '-inf': not a finite number"),
+        (lambda t: t.replace("U0 = 5.0", "U0 = nan"), "[dual] U0 = 'nan': not a finite number"),
+        (
+            lambda t: t.replace("family = chorded", "famly = complete"),
+            "[graph] unknown key 'famly'; [graph] defines family, Q, a, seed",
+        ),
+        (lambda t: t + "\n[extra]\nkey = 1\n", "[extra] unknown key 'key'; [extra] defines no keys"),
+        (lambda t: "[DEFAULT]\nN = 5\n" + t, "[DEFAULT] keys are not supported: n"),
+        (
+            lambda t: t.replace("b = 1.0", "b = 1.0\nlo = -1"),
+            "[problem] the set reaches x = -1, outside the log terms' domain",
+        ),
+        (lambda t: t.replace("trace = demo.csv", "trace ="), "[output] trace = '' names no file"),
     ],
-    ids=["dual-source", "stepsize", "no-agents", "empty-box"],
+    ids=["dual-source", "stepsize", "no-agents", "empty-box", "nan", "inf", "minus-inf", "U0-nan",
+         "misspelt-key", "unknown-section", "default", "log-domain", "no-trace-file"],
 )
 def test_cli_run_bad_dual_source_or_stepsize_exits_2(tmp_path, monkeypatch, capsys, mangle, message):
     monkeypatch.setenv("DPPD_OUTPUT_DIR", str(tmp_path / "out"))
@@ -454,6 +485,135 @@ def test_cli_compare_subcommand(tmp_path, capsys, paper_problem):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "k,err_a,err_b,ratio"
     assert out[1].split(",")[3] == "1"
+
+
+CORPUS_TEXT = """
+[scenario]
+name = corpus
+solver = dppd
+K = 5
+stride = 2
+seed = 0
+
+[problem]
+builtin = paper_example
+N = 8
+b = 1.0
+lo = 0.0
+hi = 1.0
+
+[graph]
+family = chorded
+Q = 2
+a = 0.1
+seed = 3
+
+[stepsize]
+rule = inv-sqrt
+power = 0.5
+
+[dual]
+source = fixed
+U0 = 5.0
+
+[output]
+trace = corpus.csv
+"""
+
+
+def _corpus_sections():
+    """CORPUS_TEXT as [(section, [(key, value), ...]), ...]."""
+    sections = []
+    for line in CORPUS_TEXT.strip().splitlines():
+        if line.startswith("["):
+            sections.append((line[1:-1], []))
+        elif line:
+            key, value = line.split(" = ")
+            sections[-1][1].append((key, value))
+    return sections
+
+
+def _corpus_text(sections):
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items) for name, items in sections
+    )
+
+
+# values that the corpus puts in place of a key's value; none of them asks
+# for more than N = 12 agents or K = 5 rounds
+_BAD_VALUES = ["", "abc", "%", "nan", "inf", "-inf", "-1", "0", "2.5", "1e-300"]
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """CORPUS_TEXT after one or two mutations: replace, negate or %-suffix a
+    value, or drop, rename or duplicate a key or a section."""
+    sections = _corpus_sections()
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(sections) - 1))
+        name, items = sections[i]
+        kind = draw(st.sampled_from(
+            ["value", "negate", "percent", "drop-key", "rename-key", "duplicate-key",
+             "drop-section", "rename-section", "duplicate-section"]
+        ))
+        if kind == "drop-section":
+            del sections[i]
+        elif kind == "duplicate-section":
+            sections.insert(i, (name, list(items)))
+        elif kind == "rename-section":
+            sections[i] = (draw(st.sampled_from([name + "s", name[:-1], "DEFAULT", "extra"])), items)
+        elif not items:
+            continue
+        else:
+            j = draw(st.integers(0, len(items) - 1))
+            key, value = items[j]
+            if kind == "drop-key":
+                del items[j]
+            elif kind == "duplicate-key":
+                items.insert(j, (key, value))
+            elif kind == "rename-key":
+                items[j] = (draw(st.sampled_from([key + "x", key.upper(), "Q", "b", "seed"])), value)
+            elif kind == "value":
+                items[j] = (key, draw(st.sampled_from(_BAD_VALUES)))
+            elif kind == "negate":
+                items[j] = (key, "-" + value)
+            else:
+                items[j] = (key, value + "%")
+        if not sections:
+            break
+    return _corpus_text(sections)
+
+
+def _main_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        return main(argv), err.getvalue()
+
+
+@settings(max_examples=200)
+@given(text=_mutated_scenarios())
+def test_mutated_scenarios_run_as_written_or_exit_2(text):
+    # every file either validates and runs, writing a finite trace, or
+    # exits 2 naming why before anything is written; exit 1 is a failure
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        path = os.path.join(tmp, "s.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with mock.patch.dict(os.environ, {"DPPD_OUTPUT_DIR": out}):
+            code, err = _main_quietly(["validate", path])
+            assert code in (0, 2), err
+            if code == 2:
+                assert _main_quietly(["run", path]) == (2, err)
+                assert not os.path.exists(out)
+                return
+            code, err = _main_quietly(["run", path])
+            assert code == 0, err
+        scen = load_scenario(path)
+        cols = read_trace(os.path.join(out, os.path.basename(scen.trace_path)))
+        assert cols["k"][-1] == scen.config.K - 1
+        for name, col in cols.items():
+            if name != "run_eval_err" or scen.config.f_star is not None:
+                assert np.all(np.isfinite(col)), name
 
 
 def test_cli_malformed_config_exit_code(tmp_path, capsys):
