@@ -9,10 +9,11 @@ row rule and the trace columns are the proximal solver's (`solver._start`,
 compile is refused before round 0, as in `run`.  Each round is the plan's
 `sg_step`, bit for bit `csp_sg_round`, the same round taken agent by agent,
 when n = m = 1 and every f_i and g_i is one registry term.  Only the
-ergodic sums and the metric, evaluated per agent on the recorded rows, are
-the comparator's own.  Comparisons against the proximal solver are
-qualitative: the reconstruction matches stepsizes and mixing but not any
-particular published constant choices.
+ergodic sums and the metric, summed from the plan's values of f_i and g_i
+at the per-agent averages on the recorded rows, are the comparator's own.
+Comparisons against the proximal solver are qualitative: the
+reconstruction matches stepsizes and mixing but not any particular
+published constant choices.
 """
 
 import numpy as np
@@ -69,13 +70,10 @@ def run_csp_sg(p, sched, cfg):
         # every iterate reaches the running sums
         _check_finite(k, float(x_sum.sum() + mu_sum.sum()), x, mu)
         if tb.due(k):
-            x_erg = x_sum.reshape(N, -1) / (k + 1)
-            mu_erg = mu_sum.reshape(N, -1) / (k + 1)
-            metric = sum(
-                p.f[i].value(x_erg[i]) + float(mu_erg[i] @ p.g[i].value(x_erg[i]))
-                for i in range(N)
-            )
-            xbar, mubar = x_erg.mean(axis=0), mu_erg.mean(axis=0)
+            x_erg, mu_erg = x_sum / (k + 1), mu_sum / (k + 1)
+            metric = float(plan._f_values(x_erg).sum() + (mu_erg * plan._g_values(x_erg)).sum())
+            xbar, mubar = x_erg.reshape(N, -1).mean(axis=0), mu_erg.reshape(N, -1).mean(axis=0)
             xs, mus = x.reshape(N, -1), mu.reshape(N, -1)
-            tb.record(k, alpha, xs, mus, xbar, mubar, metric, metric, p.constraint(xbar))
+            g_tot = plan.at_averages(xbar[0] if plan.n == 1 else xbar, mubar)[1]
+            tb.record(k, alpha, xs, mus, xbar, mubar, metric, metric, g_tot)
     return tb.build(BaselineTrace, x, mu)

@@ -1,19 +1,20 @@
 """Distributed computation of the dual radius bounding the optimal multipliers.
 
-Three phases, all barrier-synchronized on the same graph schedule:
-  1. find a strictly feasible point by distributed proximal minimization of
-     the summed constraints,
-  2. certify strict negativity of the constraint sum in blocks of (N-1)*Q
-     rounds: a finite-time max-consensus sweep over the block's rounds, and
-     only for a block whose max is not negative, average-consensus steps
-     over the same rounds (the plain mix z <- A z, which keeps the agent
-     sum) for the next block,
-  3. agree on max_i f_i and min_i q_i by one further max-consensus sweep
-     over both columns and assemble the radius N*(f_max - q_min)/gamma_lower.
-     Each local dual value q_i is exact, read from the compiled plan
-     (`solver.compile_plan`), where f_i + mu.g_i has a closed-form minimizer;
-     an f_i that does not compile raises here (a set or g_i, in phase 1).
-     The dual probe's shape is checked before phase 1.
+The problem is compiled once (`solver.compile_plan`), before the first
+phase, so a set, f_i or g_i that does not compile is refused there; every
+local value the agents agree on is read off that plan.  Three phases, all
+barrier-synchronized on the same graph schedule:
+  1. find a strictly feasible point x_check by distributed proximal
+     minimization of the summed constraints,
+  2. certify strict negativity of the constraint sum from the g_i(x_check)
+     in blocks of (N-1)*Q rounds: a finite-time max-consensus sweep over
+     the block's rounds, and only for a block whose max is not negative,
+     average-consensus steps over the same rounds (the plain mix
+     z <- A z, which keeps the agent sum) for the next block,
+  3. agree on max_i f_i(x_check) and min_i q_i(mu_check) by one further
+     max-consensus sweep over both columns and assemble the radius
+     N*(f_max - q_min)/gamma_lower.  Each q_i is exact, the plan's closed-
+     form minimum of f_i + mu_check.g_i.
 
 A max-consensus step is one gather of the in-neighbor values and one
 segmented max over them, O(nnz) for a round with nnz positive entries.
@@ -34,7 +35,7 @@ every round of a block that fails; a block that certifies does not average.
 """
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +66,8 @@ class DualBoundResult:
     f_max: float
     q_min: float
     U0: float
-    slater_rounds: int = 0
-    certify_blocks: int = 0
+    slater_rounds: int
+    certify_blocks: int
 
 
 def find_slater(p, sched, stepsize, K):
@@ -111,6 +112,16 @@ def _agreed(s):
     return bool((u == u[0]).all())
 
 
+def _per_agent(values, sched):
+    """values, (N,) or (N, m), as one row per agent; else ValueError."""
+    s = np.array(values, dtype=float)
+    if s.ndim == 1:
+        s = s[:, None]
+    if s.ndim != 2 or s.shape[0] != sched.N:
+        raise ValueError(f"values must be (N,) or (N, m) with N = {sched.N}, got shape {np.shape(values)}")
+    return s
+
+
 def max_consensus_round(sched, k0, s, steps):
     """Componentwise max over in-neighbors (self included) for up to the
     given number of rounds from round k0; exact after (N-1)*Q steps on a
@@ -125,11 +136,7 @@ def max_consensus_round(sched, k0, s, steps):
     read whose matrix has a row with no positive entry (all zero, negative
     or NaN).
     """
-    s = np.array(s, dtype=float)
-    if s.ndim == 1:
-        s = s[:, None]
-    if s.ndim != 2 or s.shape[0] != sched.N:
-        raise ValueError(f"values must be (N,) or (N, m) with N = {sched.N}, got shape {s.shape}")
+    s = _per_agent(s, sched)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     recent = deque(maxlen=sched.Q)  # an operator met again keeps its supports
@@ -146,11 +153,12 @@ def max_consensus_round(sched, k0, s, steps):
     return s
 
 
-def certify_negative(p, sched, x_check, max_rounds=1000):
+def certify_negative(sched, z, max_rounds=1000):
     """(z_check, blocks): the certified componentwise-negative consensus
-    value of the local constraint evaluations at x_check, and the number of
-    blocks it took (0 for a single agent, which needs no consensus).
-    A local value that is not finite raises ValueError naming its agent.
+    value of the agents' local constraint values z, (N,) or (N, m), and the
+    number of blocks it took (0 for a single agent, which needs no
+    consensus).  z of the wrong shape raises ValueError, and so does a
+    local value that is not finite, naming its agent.
 
     Each block of (N-1)*Q rounds first agrees on the max of z by
     max_consensus_round over its rounds and returns it if it is strictly
@@ -159,12 +167,11 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
     of rounds.  The signum threshold test of the protocol reduces to strict
     negativity because signum values are -1/0/1.
     """
-    N = p.N
-    z = np.stack([gi.value(x_check) for gi in p.g])  # (N, m)
+    z = _per_agent(z, sched)
     bad = np.flatnonzero(~np.isfinite(z).all(axis=1))  # no block would certify
     if bad.size:
         raise ValueError(f"local constraint value of agent {bad[0]} is not finite")
-    sigma = (N - 1) * sched.Q
+    sigma = (sched.N - 1) * sched.Q
     if sigma == 0:
         if np.all(z[0] < 0):
             return z[0].copy(), 0
@@ -181,58 +188,45 @@ def certify_negative(p, sched, x_check, max_rounds=1000):
     )
 
 
-def _dual_probe(p, mu_check):
-    """The dual probe as a vector of length p.m, zeros for None; raises
-    ValueError unless it is a nonnegative vector of that length."""
-    mu_check = np.zeros(p.m) if mu_check is None else np.atleast_1d(np.asarray(mu_check, dtype=float))
-    if mu_check.shape != (p.m,) or np.any(mu_check < 0):
-        raise ValueError(f"dual probe must be a nonnegative vector of length {p.m}, got {mu_check}")
-    return mu_check
-
-
-def assemble_bound(p, sched, x_check, z_check, mu_check=None):
-    """Radius on the optimal dual set from the certified quantities.
+def assemble_bound(sched, z_check, f_vals, q_vals):
+    """(gamma_lower, f_max, q_min, U0): the radius on the optimal dual set
+    from the certified value z_check and the agents' local values
+    f_i(x_check) and q_i(mu_check), each (N,).
 
     gamma_lower = min_l(-N * z_check_l); f_max and q_min come from one
-    finite-time max-consensus sweep over the agents' local values f_i and
-    -q_i, as two independent columns.  The local dual values q_i(mu_check)
-    come from the compiled plan; a problem that does not compile raises
-    ValueError naming why.
+    finite-time max-consensus sweep over f_vals and -q_vals, as two
+    independent columns; U0 = N*(f_max - q_min)/gamma_lower.  Raises
+    ValueError unless z_check is componentwise negative and f_vals and
+    q_vals hold one value per agent.
     """
     if np.any(z_check >= 0):
         raise ValueError("certified value must be componentwise negative")
-    mu_check = _dual_probe(p, mu_check)
-    plan, why = compile_plan(p)
-    if plan is None:
-        raise ValueError(f"no closed-form local dual values: {why}")
-    N = p.N
+    N = sched.N
+    for name, vals in (("f_vals", f_vals), ("q_vals", q_vals)):
+        if np.shape(vals) != (N,):
+            raise ValueError(f"{name} must be (N,) with N = {N}, got shape {np.shape(vals)}")
     gamma_lower = float(np.min(-N * np.asarray(z_check)))
-    f_vals = np.array([fi.value(x_check) for fi in p.f])
-    q_vals = plan.local_minima(mu_check)
-    sigma = (N - 1) * sched.Q
-    agreed = max_consensus_round(sched, 0, np.column_stack([f_vals, -q_vals]), sigma)
-    f_max = float(agreed[0, 0])
-    q_min = -float(agreed[0, 1])
-    U0 = N * (f_max - q_min) / gamma_lower
-    return DualBoundResult(
-        x_check=np.asarray(x_check, dtype=float),
-        z_check=np.asarray(z_check, dtype=float),
-        gamma_lower=gamma_lower,
-        f_max=f_max,
-        q_min=q_min,
-        U0=U0,
-    )
+    agreed = max_consensus_round(sched, 0, np.column_stack([f_vals, -np.asarray(q_vals)]), (N - 1) * sched.Q)
+    f_max, q_min = float(agreed[0, 0]), -float(agreed[0, 1])
+    return gamma_lower, f_max, q_min, N * (f_max - q_min) / gamma_lower
 
 
 def compute_dual_radius(p, sched, stepsize, K, mu_check=None):
     """Full three-phase protocol; all agents end with the identical result.
 
-    The dual probe is checked before phase 1, whether the set and each g_i
-    compile in phase 1, and each f_i in phase 3.  certify_blocks reports
-    the blocks of (N-1)*Q rounds that certify_negative used (0 for one agent).
+    Before phase 1, the dual probe mu_check (zeros for None) is checked to
+    be a nonnegative vector of length m and p is compiled once; either
+    raises ValueError naming why.  g_i(x_check), f_i(x_check) and q_i(mu_check)
+    are read off that plan.  certify_blocks reports the blocks of (N-1)*Q
+    rounds that certify_negative used (0 for one agent).
     """
-    mu_check = _dual_probe(p, mu_check)
+    mu_check = np.zeros(p.m) if mu_check is None else np.atleast_1d(np.asarray(mu_check, dtype=float))
+    if mu_check.shape != (p.m,) or np.any(mu_check < 0):
+        raise ValueError(f"dual probe must be a nonnegative vector of length {p.m}, got {mu_check}")
+    plan = compile_plan(p)
     x_check = find_slater(p, sched, stepsize, K)
-    z_check, blocks = certify_negative(p, sched, x_check)
-    res = assemble_bound(p, sched, x_check, z_check, mu_check)
-    return replace(res, slater_rounds=K, certify_blocks=blocks)
+    # every agent at x_check, in the plan's layout: (N,) when n == 1
+    x = np.full(p.N, x_check[0]) if p.n == 1 else np.tile(x_check, (p.N, 1))
+    z_check, blocks = certify_negative(sched, plan._g_values(x))
+    bound = assemble_bound(sched, z_check, plan._f_values(x), plan.local_minima(mu_check))
+    return DualBoundResult(x_check, z_check, *bound, slater_rounds=K, certify_blocks=blocks)

@@ -14,6 +14,8 @@ from .functions import interval_of
 
 __all__ = ["ReferenceSolution", "solve_example_family", "brute_force_saddle"]
 
+_LOG_MAX = np.log(np.finfo(float).max)  # exp overflows past it
+
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -36,7 +38,9 @@ def solve_example_family(theta, d, b, lo=0.0, hi=1.0):
     d = np.asarray(d, dtype=float)
     if d.sum() <= 0 or b <= 0:
         raise ValueError("need sum(d) > 0 and b > 0")
-    x_star = np.exp(b / d.sum()) - 1.0
+    t = b / d.sum()
+    # an exp that overflows puts the binding point past any finite box
+    x_star = np.exp(t) - 1.0 if t <= _LOG_MAX else np.inf
     if not lo <= x_star <= hi:
         raise ValueError(
             "binding point falls outside the box; use the grid oracle instead"

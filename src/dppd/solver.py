@@ -257,6 +257,11 @@ class _Plan:
             self._with_duals(self.wf, self.wg, muhat),
         )
 
+    def _f_values(self, x):
+        """Each agent's objective value at its point: (N,)."""
+        lx = None if self.wf is None else np.log1p(x)
+        return _poly(self.pf, self.qf, self.wf, self.rf, x, lx, self.n > 1)
+
     def _g_values(self, x):
         """Each agent's constraint values at its point: (N,) or (N, m)."""
         xx = x if self.m == 1 else x[:, None]
@@ -335,8 +340,7 @@ class _Plan:
         x = np.where(_slope(p, q, w, self.lo) >= 0.0, self.lo,
                      np.where(_slope(p, q, w, self.hi) <= 0.0, self.hi, root)).clip(self.lo, self.hi)
         # f_i, then each mu_l*g_il added left to right, as a registry Sum does
-        lx = None if self.wf is None else np.log1p(x)
-        value = _poly(self.pf, self.qf, self.wf, self.rf, x, lx, self.n > 1)
+        value = self._f_values(x)
         for mu_l, g_l in zip(mu, self._g_values(x).reshape(len(x), -1).T):
             value = value + mu_l * g_l
         return value
@@ -350,10 +354,10 @@ def _quad_prox(xhat, p, q, alpha):
 
 
 def compile_plan(p):
-    """(plan, None) with the plan for p, or (None, why) when p does not
-    compile by the rule in `proxops` that `prox_solve` also applies, why
-    naming the set, or the first agent and term, that does not.  Clipping
-    each coordinate is then the exact projection of every step."""
+    """The plan for p; raises ValueError("the problem does not compile: why")
+    by the rule in `proxops` that `prox_solve` also applies, why naming the
+    set, or the first agent and term, that does not.  Clipping each
+    coordinate is then the exact projection of every step."""
     N, n, m = p.N, p.n, p.m
     terms = []
     for i, (fi, gi) in enumerate(zip(p.f, p.g)):
@@ -361,7 +365,7 @@ def compile_plan(p):
             try:
                 terms.append(flatten_composite(fn, label))
             except ProxError as exc:
-                return None, f"agent {i}: {exc}"
+                raise ValueError(f"the problem does not compile: agent {i}: {exc}") from exc
     # per agent, f_i then each g_il; a coordinate axis only when n > 1
     d, q, r, w = (np.array(a) for a in zip(*terms))
     d, q = (a.reshape((N, 1 + m) + ((n,) if n > 1 else ())) for a in (d, q))
@@ -369,7 +373,7 @@ def compile_plan(p):
     try:
         iv = set_bounds(p.X0, w)
     except ProxError as exc:
-        return None, str(exc)
+        raise ValueError(f"the problem does not compile: {exc}") from exc
     pf, qf, wf, rf, pg, qg, wg, rg = (
         np.ascontiguousarray(a[:, j]) for j in (0, 1 if m == 1 else slice(1, None)) for a in (d, q, w, r)
     )
@@ -395,16 +399,13 @@ def compile_plan(p):
         rg=rg,
         f_total=f_total,
         g_total=g_total,
-    ), None
+    )
 
 
 def _start(p, U0):
     """(plan, x, mu): the compiled plan and the initial iterates in its
     layout.  Raises ValueError naming why when p does not compile."""
-    plan, why = compile_plan(p)
-    if plan is None:
-        raise ValueError(f"the problem does not compile: {why}")
-    state = initial_state(p, U0)
+    plan, state = compile_plan(p), initial_state(p, U0)
     # one coordinate, or one dual component, is held as an (N,) vector
     return plan, *(a[:, 0].copy() if a.shape[1] == 1 else a for a in (state.x, state.mu))
 
@@ -446,7 +447,8 @@ class _TraceBuilder:
         points, g_total the summed constraint at xbar."""
         f_star = self.cfg.f_star
         err = abs(value - f_star) if f_star is not None else np.nan
-        viol = float(np.linalg.norm(np.maximum(g_total, 0.0)))
+        # hypot scales, so a huge finite component gives a finite norm
+        viol = math.hypot(*np.maximum(g_total, 0.0).ravel())
         self.rows.append(
             (k, alpha, xbar, mubar, _spread(x), _spread(mu), lagrangian, err, viol, value)
         )

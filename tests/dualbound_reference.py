@@ -1,7 +1,7 @@
 """The max-consensus sweeps of `dppd.dualbound` as they were before a sweep
 stopped at its fixed point: every sweep runs all the steps it is given.
-Kept verbatim as the reference that the current sweeps must match bit for
-bit."""
+Kept as the reference that the current sweeps must match bit for bit;
+certification takes the local values, as `dppd.dualbound` does."""
 
 from collections import deque
 from itertools import count, islice
@@ -38,10 +38,11 @@ def max_consensus_round(sched, k0, s, steps):
     return s
 
 
-def certify_negative(p, sched, x_check, max_rounds=1000):
-    """(z_check, blocks), with the max stepped on every round of a block."""
-    N = p.N
-    z = np.stack([gi.value(x_check) for gi in p.g])  # (N, m)
+def certify_negative(sched, z, max_rounds=1000):
+    """(z_check, blocks) from the local values z, with the max stepped on
+    every round of a block."""
+    N = sched.N
+    z = np.array(z, dtype=float).reshape(N, -1)  # (N, m)
     sigma = (N - 1) * sched.Q
     if sigma == 0:
         if np.all(z[0] < 0):

@@ -90,29 +90,54 @@ def test_feasibility_every_round(paper_problem):
         assert np.all(np.linalg.norm(cur.mu, axis=1) <= 5.0 + 1e-9)
 
 
-def test_metric_is_lagrangian_at_ergodic_averages():
-    p = _toy_problem()
-    s = make_schedule(N=2, Q=1, a=0.3, seed=0, family="ring")
-    cfg = DppdConfig(K=30, U0=2.0, stride=1, f_star=0.0)
-    tr = run_csp_sg(p, s, cfg)
-    # replay the run and recompute the reported metric at the last row
-    cur = initial_state(p, 2.0)
-    ss = StepsizeSchedule()
-    x_sum = np.zeros_like(cur.x)
-    mu_sum = np.zeros_like(cur.mu)
-    for k in range(30):
-        cur = csp_sg_round(p, s.matrix(k), cur, ss.alpha(k), 2.0)
-        x_sum += cur.x
-        mu_sum += cur.mu
-    x_erg, mu_erg = x_sum / 30, mu_sum / 30
-    metric = sum(
-        p.f[i].value(x_erg[i]) + float(mu_erg[i] @ p.g[i].value(x_erg[i]))
-        for i in range(2)
+def _two_coordinate_problem():
+    f = (
+        Quadratic(np.diag([1.0, 2.0]), np.array([-1.0, 0.5]), 0.25),
+        Affine(np.array([0.5, -0.25]), 0.1),
     )
-    assert tr.lagrangian[-1] == pytest.approx(metric, abs=1e-12)
-    assert tr.ergodic_eval_err[-1] == pytest.approx(abs(metric), abs=1e-12)
-    assert np.array_equal(tr.xbar[-1], x_erg.mean(axis=0))
-    assert np.array_equal(tr.mubar[-1], mu_erg.mean(axis=0))
+    g = (
+        VectorConstraint((Affine(np.array([1.0, 0.5]), -0.25),)),
+        VectorConstraint((Affine(np.array([0.5, 1.0]), 0.0),)),
+    )
+    return Problem(f=f, g=g, X0=Box(np.zeros(2), np.ones(2)))
+
+
+def _two_constraint_problem():
+    f = (
+        Quadratic(np.array([[1.0]]), np.array([-1.0])),
+        Affine(np.array([0.5]), 0.0),
+    )
+    g = (
+        VectorConstraint((Affine(np.array([1.0]), -0.25), Affine(np.array([-0.5]), 0.125))),
+        VectorConstraint((Affine(np.array([0.5]), 0.0), Quadratic(np.array([[1.0]]), np.zeros(1), -0.5))),
+    )
+    return Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
+
+
+def test_metric_is_lagrangian_at_ergodic_averages():
+    # n = m = 1, two coordinates, and two constraint components
+    for p in (_toy_problem(), _two_coordinate_problem(), _two_constraint_problem()):
+        s = make_schedule(N=2, Q=1, a=0.3, seed=0, family="ring")
+        cfg = DppdConfig(K=30, U0=2.0, stride=1, f_star=0.0)
+        tr = run_csp_sg(p, s, cfg)
+        # replay the run and recompute the reported metric at the last row
+        cur = initial_state(p, 2.0)
+        ss = StepsizeSchedule()
+        x_sum = np.zeros_like(cur.x)
+        mu_sum = np.zeros_like(cur.mu)
+        for k in range(30):
+            cur = csp_sg_round(p, s.matrix(k), cur, ss.alpha(k), 2.0)
+            x_sum += cur.x
+            mu_sum += cur.mu
+        x_erg, mu_erg = x_sum / 30, mu_sum / 30
+        metric = sum(
+            p.f[i].value(x_erg[i]) + float(mu_erg[i] @ p.g[i].value(x_erg[i]))
+            for i in range(2)
+        )
+        assert tr.lagrangian[-1] == pytest.approx(metric, abs=1e-12)
+        assert tr.ergodic_eval_err[-1] == pytest.approx(abs(metric), abs=1e-12)
+        assert np.array_equal(tr.xbar[-1], x_erg.mean(axis=0))
+        assert np.array_equal(tr.mubar[-1], mu_erg.mean(axis=0))
 
 
 def test_determinism_and_trace_shape(paper_problem):

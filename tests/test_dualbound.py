@@ -1,6 +1,7 @@
 """Distributed dual-radius protocol: strictly feasible point, negativity
 certification, consensus primitives, and assembled radius soundness."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -196,11 +197,8 @@ def test_max_consensus_rejects_row_without_positive_entry(row):
     s = GraphSchedule.from_cycle([np.eye(3), A])
     with pytest.raises(ValueError, match="row 1"):
         max_consensus_round(s, 0, np.arange(3.0), 2)
-    f = tuple(Affine(np.array([1.0])) for _ in range(3))
-    g = tuple(VectorConstraint((constant(1, -1.0),)) for _ in range(3))
-    p = Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
     with pytest.raises(ValueError, match="row 1"):
-        certify_negative(p, s, np.array([0.5]))
+        certify_negative(s, np.full(3, -1.0))
 
 
 @pytest.mark.parametrize("empty", [[0.0], []], ids=["stored-zero", "nothing-stored"])
@@ -231,7 +229,7 @@ def test_a_sweep_scans_each_round_of_a_periodic_schedule_once(monkeypatch, paper
     assert len(scanned) == 2
     scanned.clear()
     s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
-    _, blocks = certify_negative(paper_problem, s, np.array([1.0]))
+    _, blocks = certify_negative(s, _local_g(paper_problem, np.array([1.0])))
     assert blocks > 1 and len(scanned) == 2 * blocks
     scanned.clear()
     # a schedule that builds each round anew is scanned at every step up to
@@ -259,11 +257,10 @@ class _Drawn:
         return self.sched.operator(k)
 
 
-def _constant_problem(vals):
-    """A problem whose local constraint values are the rows of vals."""
-    f = tuple(Affine(np.array([1.0])) for _ in vals)
-    g = tuple(VectorConstraint(tuple(constant(1, v) for v in row)) for row in vals)
-    return Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
+def _local_g(p, x):
+    """Each agent's constraint values at the common point x, (N, m), from
+    the registry."""
+    return np.stack([gi.value(x) for gi in p.g])
 
 
 REFERENCE_SCHEDULES = {
@@ -302,20 +299,19 @@ def test_sweeps_match_the_full_step_reference_bit_for_bit(name, m, k0):
             out = max_consensus_round(s, k0, vals, steps)
             ref = dualbound_reference.max_consensus_round(s, k0, vals, steps)
             assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), steps
-        p = _constant_problem(vals)
         if not np.isfinite(vals).all():
             # refused before the first block, where the reference gives up
             # after its last
             with pytest.raises(ValueError, match="agent 2 is not finite"):
-                certify_negative(p, s, np.array([0.5]), max_rounds=2)
+                certify_negative(s, vals, max_rounds=2)
             continue
         try:
-            ref = dualbound_reference.certify_negative(p, s, np.array([0.5]), max_rounds=2)
+            ref = dualbound_reference.certify_negative(s, vals, max_rounds=2)
         except SlaterError:
             with pytest.raises(SlaterError):
-                certify_negative(p, s, np.array([0.5]), max_rounds=2)
+                certify_negative(s, vals, max_rounds=2)
             continue
-        z, blocks = certify_negative(p, s, np.array([0.5]), max_rounds=2)
+        z, blocks = certify_negative(s, vals, max_rounds=2)
         assert np.array_equal(z.view(np.uint64), ref[0].view(np.uint64)) and blocks == ref[1]
 
 
@@ -336,7 +332,7 @@ def test_certification_past_the_fixed_point_mixes_without_scanning(monkeypatch):
     supports = dppd.dualbound._supports
     monkeypatch.setattr(dppd.dualbound, "_supports", lambda A: scanned.append(A) or supports(A))
     s = _Drawn(_fresh_schedule(6, 2))
-    z, blocks = certify_negative(_constant_problem(np.full((6, 1), -0.25)), s, np.array([0.5]))
+    z, blocks = certify_negative(s, np.full((6, 1), -0.25))
     assert blocks == 1 and z == -0.25
     assert s.drawn == [0, 1] and len(scanned) == 2
     # agent 0 holds 0.1: block 1's sweep agrees after its Q steps and fails,
@@ -345,8 +341,8 @@ def test_certification_past_the_fixed_point_mixes_without_scanning(monkeypatch):
     scanned.clear()
     s = _Drawn(_fresh_schedule(6, 2))
     vals = np.array([[0.1]] + [[-0.25]] * 5)
-    z, blocks = certify_negative(_constant_problem(vals), s, np.array([0.5]))
-    ref = dualbound_reference.certify_negative(_constant_problem(vals), s.sched, np.array([0.5]))
+    z, blocks = certify_negative(s, vals)
+    ref = dualbound_reference.certify_negative(s.sched, vals)
     assert blocks == ref[1] == 2 and np.array_equal(z.view(np.uint64), ref[0].view(np.uint64))
     assert s.drawn == [0, 1, *range(10), 10, 11, 12] and len(scanned) == 5
 
@@ -363,11 +359,14 @@ def test_a_round_past_the_fixed_point_is_not_read():
 
 
 def test_max_consensus_rejects_values_of_the_wrong_shape_and_negative_steps():
-    # one value row per agent, no more and no fewer
+    # one value row per agent, no more and no fewer, in a sweep and in the
+    # certification
     s = make_schedule(N=4, Q=1, a=0.25, seed=0, family="ring")
     for vals in (np.arange(7.0), np.arange(3.0), np.zeros((4, 2, 1)), 1.0):
         with pytest.raises(ValueError, match="N = 4"):
             max_consensus_round(s, 0, vals, 3)
+        with pytest.raises(ValueError, match=rf"N = 4, got shape {re.escape(str(np.shape(vals)))}$"):
+            certify_negative(s, -np.asarray(vals))
     with pytest.raises(ValueError, match="steps must be nonnegative"):
         max_consensus_round(s, 0, np.arange(4.0), -1)
 
@@ -376,14 +375,11 @@ def test_max_consensus_rejects_values_of_the_wrong_shape_and_negative_steps():
 
 
 def test_certify_negative_immediate_when_all_locals_negative():
-    # constant constraints, all negative: the first max-consensus snapshot
-    # already agrees on the exact maximum of the local values
+    # local values all negative: the first max-consensus snapshot already
+    # agrees on the exact maximum of the local values
     vals = (-0.9, -0.2, -0.55, -0.4)
-    f = tuple(Affine(np.array([1.0])) for _ in vals)
-    g = tuple(VectorConstraint((constant(1, v),)) for v in vals)
-    p = Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
     s = make_schedule(N=4, Q=1, a=0.2, seed=0, family="ring")
-    z, blocks = certify_negative(p, s, np.array([0.5]))
+    z, blocks = certify_negative(s, vals)
     assert z == pytest.approx(np.array([-0.2]), abs=1e-12)
     assert blocks == 1
 
@@ -396,7 +392,7 @@ def test_certify_negative_requires_averaging_blocks(paper_problem):
     locals_ = np.array([g.value(x)[0] for g in paper_problem.g])
     assert locals_.max() > 0 and locals_.sum() < 0
     s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
-    z, blocks = certify_negative(paper_problem, s, x)
+    z, blocks = certify_negative(s, locals_)
     assert z.shape == (1,) and blocks > 1
     # mixing can only pull values toward the average, so the certified max
     # lies between the agent mean and the original agent max
@@ -405,27 +401,19 @@ def test_certify_negative_requires_averaging_blocks(paper_problem):
 
 
 def test_certify_negative_single_agent_paths():
-    f = (Affine(np.array([1.0])),)
-    X0 = Box(np.array([0.0]), np.array([1.0]))
-    g_ok = (VectorConstraint((constant(1, -0.3),)),)
-    p = Problem(f=f, g=g_ok, X0=X0)
     s = make_schedule(N=1, Q=1, a=0.5, seed=0, family="ring")
-    z, blocks = certify_negative(p, s, np.zeros(1))
+    z, blocks = certify_negative(s, [-0.3])
     assert z == pytest.approx(np.array([-0.3])) and blocks == 0
-    g_bad = (VectorConstraint((constant(1, 0.1),)),)
     with pytest.raises(SlaterError):
-        certify_negative(Problem(f=f, g=g_bad, X0=X0), s, np.zeros(1))
+        certify_negative(s, [0.1])
 
 
 def test_certify_negative_gives_up_after_max_rounds_blocks():
     # the identity never mixes, so agent 0 keeps its positive local value
     # and no block certifies; max_rounds caps blocks of (N-1)*Q rounds
-    f = tuple(Affine(np.array([1.0])) for _ in range(2))
-    g = tuple(VectorConstraint((constant(1, v),)) for v in (0.1, -0.5))
-    p = Problem(f=f, g=g, X0=Box(np.array([0.0]), np.array([1.0])))
     s = GraphSchedule.from_cycle([np.eye(2)])
     with pytest.raises(SlaterError, match="did not terminate"):
-        certify_negative(p, s, np.array([0.5]), max_rounds=3)
+        certify_negative(s, [0.1, -0.5], max_rounds=3)
 
 
 def test_certify_negative_refuses_a_local_value_that_is_not_finite():
@@ -437,7 +425,7 @@ def test_certify_negative_refuses_a_local_value_that_is_not_finite():
     looked_up = AssertionError("a round operator was looked up")
     with mock.patch.object(GraphSchedule, "operator", side_effect=looked_up):
         with pytest.raises(ValueError, match="local constraint value of agent 0 is not finite"):
-            certify_negative(p, s, np.array([np.nan]))
+            certify_negative(s, _local_g(p, np.array([np.nan])))
 
 
 # ------------------------------------------------------------------ assembly
@@ -459,8 +447,7 @@ def _dual_value_case(rng, p_zero, w_zero, lo):
 
 def _plan_local_value(f, g, mu, X0):
     """q(mu) of the one-agent problem (f, g) on X0, read from its plan."""
-    plan, why = compile_plan(Problem(f=(f,), g=(g,), X0=X0))
-    assert plan is not None, why
+    plan = compile_plan(Problem(f=(f,), g=(g,), X0=X0))
     return float(plan.local_minima(np.asarray(mu, dtype=float))[0])
 
 
@@ -484,19 +471,12 @@ def test_local_dual_value_matches_reference_bisection(p_zero, w_zero):
     assert outcomes == ({"lo", "hi"} if p_zero and w_zero else {"lo", "hi", "root"})
 
 
-def _one_agent_bound(f, g, X0):
-    """assemble_bound on the one-agent problem (f, g) on X0."""
-    p = Problem(f=(f,), g=(g,), X0=X0)
-    s = make_schedule(N=1, Q=1, a=0.5, seed=0, family="ring")
-    return assemble_bound(p, s, X0.project(np.ones(p.n)), np.array([-1.0] * p.m))
-
-
 def test_local_dual_value_log_term_on_interval_reaching_minus_one_raises():
     f, g, mu, X0 = _dual_value_case(np.random.default_rng(14), False, False, -1.0)
     with pytest.raises(DomainError):
         local_dual_value(f, g, mu, X0)
     with pytest.raises(ValueError, match="reaches x = -1, outside the log terms' domain"):
-        _one_agent_bound(f, g, X0)
+        _plan_local_value(f, g, mu, X0)
 
 
 def _box_minimum(obj, X0):
@@ -522,39 +502,34 @@ def test_local_dual_value_diagonal_quadratic_on_a_box_matches_bounded_minimize()
         assert _plan_local_value(f, g, mu, X0) == pytest.approx(_box_minimum(obj, X0), rel=0.0, abs=1e-10)
 
 
-def test_assemble_bound_raises_naming_why_the_problem_does_not_compile():
-    # a problem without a plan has no closed-form local dual values; the
-    # message names the reason as run's refusal does (the log term on an
-    # interval reaching -1 is the test above)
-    g = VectorConstraint((Affine(np.ones(2), -1.0),))
-    box = Box(np.zeros(2), np.ones(2))
-    coupled = Quadratic(np.array([[1.0, 0.5], [0.5, 1.0]]), np.ones(2))
-    with pytest.raises(ValueError, match="agent 0: f has a non-diagonal quadratic"):
-        _one_agent_bound(coupled, g, box)
-    with pytest.raises(ValueError, match="the set is a NonnegBall, not a box"):
-        _one_agent_bound(Quadratic(np.eye(2), np.ones(2)), g, NonnegBall(1.0, dim_=2))
-
-
 def test_dual_radius_refuses_what_does_not_compile_in_the_first_phase_that_sees_it():
-    # the Slater run refuses a ball before its first round, so the
-    # certification never starts; a non-diagonal f is not part of the
-    # Slater sub-problem and is found only when the bound is assembled
+    # the problem is compiled before phase 1, so a ball, a non-diagonal f, a
+    # log term in f on an interval reaching -1 and a non-diagonal g are all
+    # refused, naming why, before the Slater run and any round operator
     N = 6
-    g = tuple(VectorConstraint((Affine(np.ones(2), -0.5),)) for _ in range(N))
     s = make_schedule(N=N, Q=2, a=0.1, seed=0, family="chorded")
-    ball = Problem(f=tuple(Quadratic(np.eye(2), -np.ones(2)) for _ in range(N)), g=g,
-                   X0=NonnegBall(1.0, dim_=2))
-    phase_2 = AssertionError("the certification ran")
-    with mock.patch.object(dualbound, "certify_negative", side_effect=phase_2):
-        with pytest.raises(ValueError, match="the set is a NonnegBall, not a box"):
-            compute_dual_radius(ball, s, StepsizeSchedule(), K=400)
     skew = Quadratic(np.array([[1.0, 0.5], [0.5, 1.0]]), np.ones(2))
-    coupled = Problem(f=(skew,) * N, g=g, X0=Box(np.zeros(2), np.ones(2)))
-    certify = mock.Mock(wraps=certify_negative)
-    with mock.patch.object(dualbound, "certify_negative", certify):
-        with pytest.raises(ValueError, match="agent 0: f has a non-diagonal quadratic"):
-            compute_dual_radius(coupled, s, StepsizeSchedule(), K=200)
-    certify.assert_called_once()
+    box = Box(np.zeros(2), np.ones(2))
+    g = (VectorConstraint((Affine(np.ones(2), -0.5),)),) * N
+    skew_g = (VectorConstraint((Sum((skew, Affine(np.ones(2), -5.0))),)),) * N
+    log_f = tuple(Sum((Affine(np.array([1.0])), NegLog(0.5))) for _ in range(N))
+    g_1d = (VectorConstraint((Affine(np.array([1.0]), -0.5),)),) * N
+    cases = [
+        (Problem(f=(Quadratic(np.eye(2), -np.ones(2)),) * N, g=g, X0=NonnegBall(1.0, dim_=2)),
+         "the set is a NonnegBall, not a box"),
+        (Problem(f=(skew,) * N, g=g, X0=box), "agent 0: f has a non-diagonal quadratic"),
+        (Problem(f=log_f, g=g_1d, X0=Box(np.array([-1.0]), np.array([1.0]))),
+         "the set reaches x = -1, outside the log terms' domain"),
+        (Problem(f=(Quadratic(np.eye(2), np.ones(2)),) * N, g=skew_g, X0=box),
+         "agent 0: g[0] has a non-diagonal quadratic"),
+    ]
+    slater = AssertionError("the Slater run started")
+    looked_up = AssertionError("a round operator was looked up")
+    with mock.patch.object(dualbound, "find_slater", side_effect=slater), \
+            mock.patch.object(GraphSchedule, "operator", side_effect=looked_up):
+        for p, why in cases:
+            with pytest.raises(ValueError, match=f"^the problem does not compile: {re.escape(why)}$"):
+                compute_dual_radius(p, s, StepsizeSchedule(), K=200)
 
 
 def test_dual_radius_on_a_box_with_diagonal_quadratics():
@@ -565,7 +540,7 @@ def test_dual_radius_on_a_box_with_diagonal_quadratics():
     g = tuple(VectorConstraint((Affine(np.ones(2), -1.0),)) for _ in range(N))
     p = Problem(f=f, g=g, X0=Box(np.zeros(2), np.ones(2)))
     s = make_schedule(N=N, Q=1, a=0.2, seed=0, family="ring")
-    plan, _ = compile_plan(p)
+    plan = compile_plan(p)
     for mu in (np.zeros(1), np.array([0.7])):
         for fi, gi, q_i in zip(f, g, plan.local_minima(mu)):
             obj = Sum((fi, Scaled(gi.components[0], float(mu[0]))))
@@ -576,34 +551,35 @@ def test_dual_radius_on_a_box_with_diagonal_quadratics():
 
 
 def test_assemble_bound_guards():
-    p = random_small_instance(0)
     s = make_schedule(N=4, Q=1, a=0.1, seed=0, family="ring")
-    with pytest.raises(ValueError):
-        assemble_bound(p, s, np.zeros(1), np.array([0.0]))  # not negative
-    with pytest.raises(ValueError):
-        assemble_bound(p, s, np.zeros(1), np.array([-0.1]), mu_check=np.array([-1.0]))
+    f_vals, q_vals = np.ones(4), np.zeros(4)
+    with pytest.raises(ValueError, match="componentwise negative"):
+        assemble_bound(s, np.array([0.0]), f_vals, q_vals)
+    # one local value per agent, no more and no fewer
+    for bad in (np.ones(3), np.ones(5), np.ones((4, 1)), 1.0):
+        for name, args in (("f_vals", (bad, q_vals)), ("q_vals", (f_vals, bad))):
+            with pytest.raises(ValueError, match=rf"^{name} must be \(N,\) with N = 4, got shape \("):
+                assemble_bound(s, np.array([-0.1]), *args)
+    with pytest.raises(ValueError, match="nonnegative vector of length 1"):
+        compute_dual_radius(random_small_instance(0), s, StepsizeSchedule(), K=50, mu_check=np.array([-1.0]))
 
 
-def test_assemble_bound_rejects_a_probe_of_the_wrong_length(monkeypatch):
+def test_dual_radius_rejects_a_probe_of_the_wrong_length(monkeypatch):
     # m = 2: a probe with one or three components is refused, not matched
-    # to the components as far as it goes, by assemble_bound and through
-    # compute_dual_radius, which refuses it before any Slater round
+    # to the components as far as it goes, before any Slater round
     N = 3
     f = tuple(Quadratic(np.array([[1.0]]), np.array([-1.0])) for _ in range(N))
     g = tuple(VectorConstraint((Affine(np.array([1.0]), -0.5), Affine(np.array([-1.0]), -2.0)))
               for _ in range(N))
     p = Problem(f=f, g=g, X0=Box(np.array([-1.0]), np.array([1.0])))
     s = make_schedule(N=N, Q=1, a=0.2, seed=0, family="ring")
-    z_check = np.array([-1.0, -1.0])
-    ok = assemble_bound(p, s, np.zeros(1), z_check, mu_check=[2.0, 0.0])
+    ok = compute_dual_radius(p, s, StepsizeSchedule(), K=50, mu_check=[2.0, 0.0])
     # q_i(2, 0) = min over [-1, 1] of x^2/2 - x + 2*(x - 0.5), at x = -1
     assert ok.q_min == pytest.approx(-1.5, abs=1e-15)
     runs = []
     solve = dualbound.run
     monkeypatch.setattr(dualbound, "run", lambda *args: runs.append(args) or solve(*args))
     for probe in ([2.0], [2.0, 0.0, 7.0]):
-        with pytest.raises(ValueError, match="length 2"):
-            assemble_bound(p, s, np.zeros(1), z_check, mu_check=probe)
         with pytest.raises(ValueError, match="length 2"):
             compute_dual_radius(p, s, StepsizeSchedule(), K=50, mu_check=probe)
     assert runs == []
@@ -614,30 +590,27 @@ def test_assemble_bound_benchmark_components(paper_problem):
     # at x = 0), and f_max at x_check = 1 is max_i theta_i = 1
     s = make_schedule(N=100, Q=2, a=0.1, seed=0, family="chorded")
     x_check = np.array([1.0])
-    z_check, _ = certify_negative(paper_problem, s, x_check)
-    res = assemble_bound(paper_problem, s, x_check, z_check)
-    assert res.q_min == pytest.approx(0.0, abs=1e-12)
-    assert res.f_max == pytest.approx(1.0, abs=1e-12)
-    assert res.gamma_lower == pytest.approx(-100.0 * z_check[0])
-    assert res.U0 == pytest.approx(100.0 * (1.0 - 0.0) / res.gamma_lower)
-    assert res.U0 > 0
+    z_check, _ = certify_negative(s, _local_g(paper_problem, x_check))
+    f_vals = np.array([fi.value(x_check) for fi in paper_problem.f])
+    q_vals = compile_plan(paper_problem).local_minima(np.zeros(1))
+    gamma_lower, f_max, q_min, U0 = assemble_bound(s, z_check, f_vals, q_vals)
+    assert q_min == pytest.approx(0.0, abs=1e-12)
+    assert f_max == pytest.approx(1.0, abs=1e-12)
+    assert gamma_lower == pytest.approx(-100.0 * z_check[0])
+    assert U0 == pytest.approx(100.0 * (1.0 - 0.0) / gamma_lower)
+    assert U0 > 0
 
 
 def test_assemble_bound_symmetric_instance_closed_form():
-    # N identical agents: f_i = x^2/2, g_i = x - 0.5 on [-1, 1], x_check = -1
-    N = 3
-    f = tuple(Quadratic(np.array([[1.0]]), np.zeros(1)) for _ in range(N))
-    g = tuple(VectorConstraint((Affine(np.array([1.0]), -0.5),)) for _ in range(N))
-    p = Problem(f=f, g=g, X0=Box(np.array([-1.0]), np.array([1.0])))
-    s = make_schedule(N=N, Q=1, a=0.2, seed=0, family="ring")
-    x_check = np.array([-1.0])
+    # N identical agents: f_i = x^2/2, g_i = x - 0.5 on [-1, 1], x_check = -1,
+    # where f_i = 0.5, and q_i(0) = inf x^2/2 on [-1, 1] = 0
+    s = make_schedule(N=3, Q=1, a=0.2, seed=0, family="ring")
     z_check = np.array([-1.5])  # exact local value, identical across agents
-    res = assemble_bound(p, s, x_check, z_check)
-    assert res.gamma_lower == pytest.approx(4.5)
-    assert res.f_max == pytest.approx(0.5)
-    # q_i(0) = inf x^2/2 on [-1, 1] = 0
-    assert res.q_min == pytest.approx(0.0, abs=1e-12)
-    assert res.U0 == pytest.approx(3 * 0.5 / 4.5)
+    gamma_lower, f_max, q_min, U0 = assemble_bound(s, z_check, np.full(3, 0.5), np.zeros(3))
+    assert gamma_lower == pytest.approx(4.5)
+    assert f_max == pytest.approx(0.5)
+    assert q_min == pytest.approx(0.0, abs=1e-12)
+    assert U0 == pytest.approx(3 * 0.5 / 4.5)
 
 
 # ------------------------------------------------------------ full protocol
@@ -660,7 +633,7 @@ def test_dual_radius_reports_certification_blocks_used():
     p = dppd.build_paper_example(N=N, b=2.0)
     s = make_schedule(N=N, Q=Q, a=0.1, seed=0, family="chorded")
     res = compute_dual_radius(p, s, StepsizeSchedule(), K=400)
-    z = np.stack([gi.value(res.x_check) for gi in p.g])
+    z0 = z = _local_g(p, res.x_check)
     blocks, k = 1, 0
     while not np.all(z.max(axis=0) < 0):
         for _ in range((N - 1) * Q):
@@ -669,7 +642,7 @@ def test_dual_radius_reports_certification_blocks_used():
         blocks += 1
     assert blocks > 1
     assert res.certify_blocks == blocks
-    assert certify_negative(p, s, res.x_check)[1] == blocks
+    assert certify_negative(s, z0)[1] == blocks
 
 
 def test_dual_radius_dominates_optimal_multiplier_random():

@@ -2,12 +2,15 @@
 it never uses, no module of the package keeps a private helper that the
 package never uses, every public name of a package module is read by the
 package or by the acceptance gate, every name the benchmark harness
-reads or hooks on a package module exists, and the package, its tests and
-demos parse as Python 3.10, the oldest version the package supports."""
+reads or hooks on a package module exists, the package, its tests and
+demos parse as Python 3.10, the oldest version the package supports, and
+the CI workflow checks the acceptance gate against the gate's own sha256."""
 
 import ast
+import hashlib
 import importlib
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -210,3 +213,12 @@ def test_every_module_parses_as_python_3_10():
     assert {p.parent for p in paths} >= {SRC, TESTS, DEMOS}
     newer = [(p.name, str(exc)) for p in paths if (exc := syntax_newer_than_3_10(p.read_text()))]
     assert newer == []
+
+
+def test_the_workflow_checks_the_gate_against_its_sha256():
+    # the workflow holds the frozen gate's checksum; a checksum that no
+    # longer matches the file would fail only in CI.  The workflow is read
+    # as text, since CI does not install a YAML parser
+    workflow = (TESTS.parent / ".github" / "workflows" / "tests.yml").read_text()
+    sums = re.findall(r"\b([0-9a-f]{64})  tests/test_acceptance\.py\b", workflow)
+    assert sums == [hashlib.sha256((TESTS / "test_acceptance.py").read_bytes()).hexdigest()]

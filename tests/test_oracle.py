@@ -60,9 +60,11 @@ def test_closed_form_input_guards():
         solve_example_family(np.array([1.0]), np.array([0.0]), 1.0)
     with pytest.raises(ValueError):
         solve_example_family(np.array([1.0]), np.array([1.0]), 0.0)
-    with pytest.raises(ValueError):
-        # binding point exp(10) - 1 is far outside [0, 1]
-        solve_example_family(np.array([1.0]), np.array([1.0]), 10.0)
+    # binding point exp(10) - 1 is far outside [0, 1], and exp(1e300)
+    # overflows, which is refused the same way and warns of nothing
+    for b in (10.0, 1e300):
+        with pytest.raises(ValueError, match="outside the box"):
+            solve_example_family(np.array([1.0]), np.array([1.0]), b)
 
 
 # ---------------------------------------------------------------- grid oracle

@@ -175,8 +175,7 @@ def test_round_rejects_nonpositive_stepsize(paper_problem):
 def test_vectorized_engine_matches_generic_rounds(paper_problem):
     # the array engine and the per-agent prox ladder must agree step by step
     p = paper_problem
-    plan, why = compile_plan(p)
-    assert plan is not None, why
+    plan = compile_plan(p)
     s = make_schedule(N=100, Q=2, a=0.1, seed=1, family="chorded")
 
     state = initial_state(p, 10.0)
@@ -526,7 +525,7 @@ def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
         )
     else:
         p = dppd.build_paper_example(N=N, b=0.2, lo=0.25, hi=1.0)
-    assert compile_plan(p)[0] is not None
+    compile_plan(p)  # the engines below run on the plan
     cfg = DppdConfig(K=5, U0=1.0)
     with pytest.raises(error, match="agent 2 in round 0"):
         if engine == "generic":
@@ -583,7 +582,8 @@ def _two_dim_problem(N=3, P=np.eye(2), X0=Box(np.full(2, -1.0), np.ones(2)), log
     ids=["non-diagonal", "ball", "log"],
 )
 def test_compile_plan_declines_what_does_not_flatten(problem, why):
-    assert compile_plan(problem) == (None, why)
+    with pytest.raises(ValueError, match=f"^the problem does not compile: {re.escape(why)}$"):
+        compile_plan(problem)
     # run and the comparator refuse it, naming why, before round 0
     s = make_schedule(N=problem.N, Q=1, a=0.3, seed=0, family="ring")
     looked_up = AssertionError("a round operator was looked up")

@@ -305,6 +305,22 @@ def test_cli_run_rejects_bad_config_before_writing(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_with_a_huge_finite_b_writes_a_finite_violation(tmp_path, monkeypatch, capsys):
+    # b = 1e300 puts the binding point past any box, where the closed-form
+    # oracle's exp overflows, and the summed constraint near 1e300 squares
+    # past the float range: the run has no f_star, warns of nothing and
+    # writes the violation as it is
+    text = SCENARIO_TEXT.replace("N = 20\nb = 1.0", "N = 8\nb = 1e300").replace("K = 60", "K = 5")
+    cfgfile = _write_scenario(tmp_path, text)
+    monkeypatch.setenv("DPPD_OUTPUT_DIR", str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", cfgfile]) == 0
+    viol = read_trace(tmp_path / "out" / "demo.csv")["constr_viol"]
+    assert np.all(np.isfinite(viol)) and viol[-1] == pytest.approx(1e300)
+    assert "final_constr_viol: 1e+300" in capsys.readouterr().out
+
+
 def test_cli_run_comparator_solver(tmp_path, monkeypatch, capsys):
     text = SCENARIO_TEXT.replace("solver = dppd", "solver = csp_sg")
     cfgfile = _write_scenario(tmp_path, text)
