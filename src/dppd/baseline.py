@@ -20,7 +20,7 @@ import numpy as np
 
 from .functions import NonnegBall
 from .graphs import mix
-from .solver import SwarmState, Trace, _check_finite, _rounds, _start, _TraceBuilder
+from .solver import SwarmState, Trace, _finite, _raise_nonfinite, _rounds, _start, _TraceBuilder
 
 __all__ = ["BaselineTrace", "run_csp_sg"]
 
@@ -58,22 +58,23 @@ def run_csp_sg(p, sched, cfg):
     compile, and FloatingPointError, naming the round and the first agent,
     as soon as an iterate is not finite.
     """
-    N, U0 = p.N, cfg.U0
+    U0 = cfg.U0
     plan, x, mu = _start(p, U0)
-    x_sum = np.zeros_like(x)
-    mu_sum = np.zeros_like(mu)
-    tb = _TraceBuilder(p, cfg)
+    x_sum, mu_sum = np.zeros_like(x), np.zeros_like(mu)
+    tb = _TraceBuilder(plan, cfg)
+    metric = []  # the metric of each kept row
     for k, alpha, A in _rounds(p, sched, cfg):
         x, mu = plan.sg_step(A, x, mu, alpha, U0)
         x_sum += x
         mu_sum += mu
         # every iterate reaches the running sums
-        _check_finite(k, float(x_sum.sum() + mu_sum.sum()), x, mu)
+        if not _finite(x_sum.sum() + mu_sum.sum()):
+            _raise_nonfinite(k, x, mu)
         if tb.due(k):
             x_erg, mu_erg = x_sum / (k + 1), mu_sum / (k + 1)
-            metric = float(plan._f_values(x_erg).sum() + (mu_erg * plan._g_values(x_erg)).sum())
-            xbar, mubar = x_erg.reshape(N, -1).mean(axis=0), mu_erg.reshape(N, -1).mean(axis=0)
-            xs, mus = x.reshape(N, -1), mu.reshape(N, -1)
-            g_tot = plan.at_averages(xbar[0] if plan.n == 1 else xbar, mubar)[1]
-            tb.record(k, alpha, xs, mus, xbar, mubar, metric, metric, g_tot)
+            metric.append(float(plan._f_values(x_erg).sum() + (mu_erg * plan._g_values(x_erg)).sum()))
+            tb.keep(k, alpha, x, mu, (x_erg, mu_erg))
+        if tb.ends_block(k):
+            tb.flush(np.array(metric), np.array(metric))
+            metric = []
     return tb.build(BaselineTrace, x, mu)

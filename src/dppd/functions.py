@@ -248,10 +248,19 @@ class NonnegBall:
 
     def project(self, z):
         v = np.maximum(_as_point(z), 0.0)
-        nrm = np.linalg.norm(v)
+        nrm = _norm(v)
         if nrm > self.radius:
             v = v * (self.radius / nrm)
         return v
+
+
+def _norm(v, axis=None):
+    """np.linalg.norm(v, axis=axis), but 2**600 times that of v * 2**-600 where its
+    squares overflow, so that a norm below the float maximum is finite."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v, axis=axis)
+    big = np.isinf(nrm)
+    return np.where(big, np.linalg.norm(v * 2.0**-600, axis=axis) * 2.0**600, nrm) if big.any() else nrm
 
 
 def interval_of(s):

@@ -119,7 +119,7 @@ def neglog_prox_root(p, q, w, v, alpha):
     aq = alpha * q
     B = a - v + aq
     C = aq - v - alpha * w
-    return (-B + np.sqrt(B * B - 4.0 * a * C)) / (2.0 * a)
+    return (np.sqrt(B * B - 4.0 * a * C) - B) / (2.0 * a)  # the bits of -B + sqrt(...)
 
 
 def prox_solve(qy):

@@ -11,17 +11,18 @@ that is identically zero held as None and its term left out.  A problem
 compiles when its set is an interval or a box and its agent functions all
 flatten to diagonal quadratic plus affine terms (plus a weighted log term
 when n == 1); any other is refused with a ValueError naming why, before
-round 0.  Each round is then only the update's array arithmetic, in the
-paper's order (mix, prox, dual projection), and the Lagrangian at the
-averages is a few flops.  The plan also holds the comparator's round
+round 0.  A round of `run` is then the update's array arithmetic, in the
+paper's order (mix, prox, dual projection), and the agent sums of the new
+iterates, which catch a non-finite iterate at once; the Lagrangian at the
+averages, its running mean and the trace rows are evaluated as arrays when
+a block of rounds ends.  The plan also holds the comparator's round
 (`_Plan.sg_step`) and the dual-radius protocol's local dual values
 (`_Plan.local_minima`).  `dppd_round` takes the same round agent by agent
 through `prox_solve`; it is the reference the plan's step is tested against.
 
 The plan and initial layout (`_start`), the rounds (`_rounds`), the trace
-type (`Trace`) and its builder (`_TraceBuilder`, which owns the rule for
-the recorded rows) are shared with the subgradient comparator in
-`baseline`.
+type (`Trace`) and its builder (`_TraceBuilder`, which owns the rules for
+the recorded rows and the blocks) are shared with the comparator in `baseline`.
 """
 
 import math
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .functions import NonnegBall, Scaled, Sum
+from .functions import NonnegBall, Scaled, Sum, _norm
 from .graphs import _operator, mix
 from .proxops import ProxError, ProxQuery, flatten_composite, neglog_prox_root, prox_solve, set_bounds
 
@@ -188,7 +189,9 @@ def _poly(p, q, w, r, x, lx, coords=False):
     if q is not None:
         s = q * x if s is None else s + q * x
     if w is not None:
-        s = -(w * lx) if s is None else s - w * lx
+        if s is None:
+            return r - w * lx  # the bits of -(w*lx) + r, as x - y is x + (-y)
+        s = s - w * lx
     if s is None:
         return r
     return (s.sum(axis=-1) if coords else s) + r
@@ -272,9 +275,9 @@ class _Plan:
         """The projected dual step from muhat along g at the points x."""
         mu_new = np.maximum(muhat + alpha * self._g_values(x), 0.0)
         # a one-component dual is nonnegative, so it is its own norm
-        nrm = mu_new if self.m == 1 else np.linalg.norm(mu_new, axis=1)
-        over = nrm > U0
-        if over.any():
+        nrm = mu_new if self.m == 1 else _norm(mu_new, axis=1)
+        if nrm.max() > U0:
+            over = nrm > U0
             scale = U0 / nrm[over]
             mu_new[over] *= scale if self.m == 1 else scale[:, None]
         return mu_new
@@ -287,16 +290,15 @@ class _Plan:
         p, q, w = self._coefs(muhat)
         if w is None:
             x_new = _quad_prox(xhat, p, q, alpha)
+        elif w.all():
+            x_new = neglog_prox_root(p, q, w, xhat, alpha)
         else:
+            # the quadratic step for every agent, then the log ones replaced
+            x_new = _quad_prox(xhat, p, q, alpha)
             logm = w != 0.0
-            if logm.all():
-                x_new = neglog_prox_root(p, q, w, xhat, alpha)
-            else:
-                # the quadratic step for every agent, then the log ones replaced
-                x_new = _quad_prox(xhat, p, q, alpha)
-                if logm.any():
-                    pl = None if p is None else p[logm]
-                    x_new[logm] = neglog_prox_root(pl, q[logm], w[logm], xhat[logm], alpha)
+            if logm.any():
+                pl = None if p is None else p[logm]
+                x_new[logm] = neglog_prox_root(pl, q[logm], w[logm], xhat[logm], alpha)
         x_new.clip(self.lo, self.hi, out=x_new)
         return x_new, self._dual_step(x_new, muhat, alpha, U0)
 
@@ -314,15 +316,16 @@ class _Plan:
         return x_new, self._dual_step(xhat, muhat, alpha, U0)
 
     def at_averages(self, x, mu):
-        """(Lagrangian, summed constraint) at the agent averages x, mu."""
-        lx = None
-        if self.f_total[2] is not None or self.g_total[2] is not None:
-            lx = np.log1p(x)
-        coords = self.n > 1
-        g_tot = _poly(*self.g_total, x, lx, coords)
-        # the same bits as a one-term dot, which adds the product to +0.0
-        dual = mu * g_tot + 0.0 if self.m == 1 else float(mu @ g_tot)
-        return float(_poly(*self.f_total, x, lx, coords)) + dual, g_tot
+        """(Lagrangian, summed constraint) at the agent averages of B rounds, a round per
+        row: x is (B,) or (B, n), mu and the summed constraint (B,) or (B, m).  _poly is
+        elementwise, so each row has the bits of the same expression at its averages alone."""
+        lx = None if self.f_total[2] is None and self.g_total[2] is None else np.log1p(x)
+        # with more than one component, an axis for them
+        xx, lxx = (x, lx) if self.m == 1 else (x[:, None], None if lx is None else lx[:, None])
+        g_tot = np.broadcast_to(_poly(*self.g_total, xx, lxx, self.n > 1), mu.shape)
+        # one component: a one-term dot's bits (the product plus +0.0); more: a dot per round
+        dual = mu * g_tot + 0.0 if self.m == 1 else np.array([a @ b for a, b in zip(mu, g_tot)])
+        return _poly(*self.f_total, x, lx, self.n > 1) + dual, g_tot
 
     def local_minima(self, mu):
         """Local dual values q_i(mu) = min over the set of f_i + mu.g_i for a
@@ -384,22 +387,7 @@ def compile_plan(p):
         tuple(None if a is None else a.sum(axis=0) if a.ndim > 1 else float(a.sum()) for a in cols)
         for cols in ((pf, qf, wf, rf), (pg, qg, wg, rg))
     )
-    return _Plan(
-        n=n,
-        m=m,
-        lo=iv[0],
-        hi=iv[1],
-        pf=pf,
-        qf=qf,
-        wf=wf,
-        rf=rf,
-        pg=pg,
-        qg=qg,
-        wg=wg,
-        rg=rg,
-        f_total=f_total,
-        g_total=g_total,
-    )
+    return _Plan(n, m, *iv, pf, qf, wf, rf, pg, qg, wg, rg, f_total, g_total)
 
 
 def _start(p, U0):
@@ -425,89 +413,120 @@ def _rounds(p, sched, cfg):
     return ((k, cfg.stepsize.alpha(k), _operator(sched, k)) for k in range(cfg.K))
 
 
-def _spread(a):
-    """Largest distance of an agent's row from the agent average."""
-    return float(np.linalg.norm(a - a.mean(axis=0), axis=1).max())
+_BLOCK = 64  # rounds whose bookkeeping is done at once; the trace does not depend on it
+
+
+def _spreads(rows):
+    """(agent averages, largest distances from them) of a block's (N,) or (N, d) iterates."""
+    a = np.stack(rows).reshape(len(rows), len(rows[0]), -1)
+    avg = a.mean(axis=1)
+    a -= avg[:, None]
+    a *= a
+    return avg, np.sqrt(a.sum(axis=2).max(axis=1))  # the root of the largest is the largest root
 
 
 class _TraceBuilder:
-    """Rows of a trace: after round k >= 1 when k is a multiple of the
-    stride or the last round."""
+    """Rows of a trace: after round k >= 1 when k is a multiple of the stride or the last
+    round.  A method keeps each due row and flushes the kept ones when a block ends."""
 
-    def __init__(self, p, cfg):
-        self.rows = []
-        self.n, self.m, self.cfg = p.n, p.m, cfg
+    def __init__(self, plan, cfg):
+        self.plan, self.cfg, self.kept = plan, cfg, []  # kept: (k, alpha, x, mu, points) of each row
+        e = np.empty(0)
+        self.cols = [(np.empty(0, int), e, np.empty((0, plan.n)), np.empty((0, plan.m)), *[e] * 6)]
 
     def due(self, k):
         return k >= 1 and (k % self.cfg.stride == 0 or k == self.cfg.K - 1)
 
-    def record(self, k, alpha, x, mu, xbar, mubar, lagrangian, value, g_total):
-        """One row, its entries in Trace's field order: x, mu are the
-        round-(k+1) iterates, xbar, mubar the averages of the evaluated
-        points, g_total the summed constraint at xbar."""
+    def ends_block(self, k):
+        return k % _BLOCK == _BLOCK - 1 or k == self.cfg.K - 1
+
+    def keep(self, k, alpha, x, mu, points=None):
+        """Keep row k: the round-(k+1) iterates x, mu, and the (x, mu) whose averages are reported."""
+        self.kept.append((k, alpha, x, mu, points))
+
+    def flush(self, lagrangian, value):
+        """The kept rows as columns in Trace's field order, lagrangian and value
+        holding their entries; the violation is the summed constraint's at xbar."""
+        if not self.kept:
+            return
+        k, alpha, x, mu, points = zip(*self.kept)
+        (xbar, cons_x), (mubar, cons_mu) = _spreads(x), _spreads(mu)
+        if points[0] is not None:
+            xbar, mubar = (_spreads(c)[0] for c in zip(*points))
+        n, m = self.plan.n, self.plan.m
+        g_tot = self.plan.at_averages(xbar[:, 0] if n == 1 else xbar, mubar[:, 0] if m == 1 else mubar)[1]
+        # hypot scales, so a huge finite component gives a finite norm; of one, it is |v|
+        pos = np.maximum(g_tot, 0.0)
+        viol = np.abs(pos) if m == 1 else np.array([math.hypot(*v) for v in pos])
         f_star = self.cfg.f_star
-        err = abs(value - f_star) if f_star is not None else np.nan
-        # hypot scales, so a huge finite component gives a finite norm
-        viol = math.hypot(*np.maximum(g_total, 0.0).ravel())
-        self.rows.append(
-            (k, alpha, xbar, mubar, _spread(x), _spread(mu), lagrangian, err, viol, value)
-        )
+        err = np.abs(value - f_star) if f_star is not None else np.full(len(value), np.nan)
+        self.cols.append((np.array(k), np.array(alpha), xbar, mubar, cons_x, cons_mu, lagrangian, err, viol, value))
+        self.kept = []
 
     def build(self, kind, x, mu):
         """The trace, its final state the round-K iterates x, mu."""
-        k, alpha, xbar, mubar, *rest = list(zip(*self.rows)) or [()] * 10
-        N = x.shape[0]
-        return kind(
-            np.array(k, dtype=int),
-            np.array(alpha, dtype=float),
-            np.array(xbar, dtype=float).reshape(-1, self.n),
-            np.array(mubar, dtype=float).reshape(-1, self.m),
-            *(np.array(c, dtype=float) for c in rest),
-            stride=self.cfg.stride,
-            f_star=self.cfg.f_star,
-            final_state=SwarmState(self.cfg.K, x.reshape(N, -1).copy(), mu.reshape(N, -1).copy()),
-        )
+        N, cols = x.shape[0], (np.concatenate(c) for c in zip(*self.cols))
+        final = SwarmState(self.cfg.K, x.reshape(N, -1).copy(), mu.reshape(N, -1).copy())
+        return kind(*cols, stride=self.cfg.stride, f_star=self.cfg.f_star, final_state=final)
 
 
-def _check_finite(k, value, x, mu):
-    """Raise after round k if value, a scalar that every iterate reaches
-    (the Lagrangian at the averages, say), is not finite.
-
-    Any NaN in an iterate reaches that scalar, so the agents are searched
-    only once it is not finite.
-    """
-    if math.isfinite(value):
-        return
-    N = x.shape[0]
-    finite = np.isfinite(np.hstack([x.reshape(N, -1), mu.reshape(N, -1)]))
-    bad = np.flatnonzero(~finite.all(axis=1))
+def _raise_nonfinite(k, x, mu):
+    """Raise for round k, naming the first agent whose iterate is not finite, if any."""
+    bad = np.flatnonzero(~np.isfinite(np.hstack([x.reshape(len(x), -1), mu.reshape(len(mu), -1)])).all(axis=1))
     if bad.size:
         raise FloatingPointError(f"non-finite iterate at agent {bad[0]} in round {k}")
     raise FloatingPointError(f"non-finite evaluation of finite iterates in round {k}")
 
 
+def _finite(s):
+    """Whether an agent sum, a float or an array, is finite throughout."""
+    return math.isfinite(s) if s.ndim == 0 else bool(np.isfinite(s).all())
+
+
 def run(p, sched, cfg):
     """Execute cfg.K rounds of the primal-dual update and record a trace.
 
-    Deterministic for a fixed problem, schedule, and config.  Raises
-    ValueError naming why, before round 0, when the problem does not
-    compile, and FloatingPointError, naming the round and the first agent,
-    as soon as an iterate is not finite.
-    """
+    A round is the plan's step and the agent sums of the new iterates.  When
+    a block of rounds ends, the Lagrangian at the averages, its running mean
+    and the trace rows are computed from the sums and the due rows' iterates,
+    with the bits of a round-by-round evaluation.  Deterministic for a fixed
+    problem, schedule, and config.  Raises ValueError naming why, before
+    round 0, when the problem does not compile; FloatingPointError naming the
+    round and the first agent in the round an iterate is not finite, and
+    naming the first round whose Lagrangian is not finite at finite iterates
+    when its block ends."""
     N, U0 = p.N, cfg.U0
     plan, x, mu = _start(p, U0)
-    tb = _TraceBuilder(p, cfg)
+    tb = _TraceBuilder(plan, cfg)
     lag_sum = 0.0  # of the Lagrangians at the averages after rounds 1..k
+    sums = []  # the agent sums of x and mu after each round not yet evaluated
+
+    def evaluate(k):
+        """Check the Lagrangians of the rounds in sums, up to k, and flush the kept rows."""
+        nonlocal lag_sum
+        k0 = k + 1 - len(sums)
+        lag = plan.at_averages(*(np.array(c) / N for c in zip(*sums)))[0]
+        sums.clear()
+        bad = np.flatnonzero(~np.isfinite(lag))
+        if bad.size:
+            raise FloatingPointError(f"non-finite evaluation of finite iterates in round {k0 + bad[0]}")
+        # lag_sum += lag round by round, from round 1 (round 0 adds +0.0 to +0.0)
+        part = np.cumsum(np.concatenate(([lag_sum], np.where(np.arange(k0, k + 1) >= 1, lag, 0.0))))
+        lag_sum, rows = part[-1], np.array([row[0] for row in tb.kept], dtype=int)
+        tb.flush(lag[rows - k0], part[rows - k0 + 1] / rows)
+
     for k, alpha, A in _rounds(p, sched, cfg):
         x, mu = plan.step(A, x, mu, alpha, U0)
-        xbar = float(x.sum() / N) if plan.n == 1 else x.sum(axis=0) / N
-        lag, g_tot = plan.at_averages(xbar, mu.sum(axis=0) / N)
-        _check_finite(k, lag, x, mu)
-        if k >= 1:
-            lag_sum += lag
+        xs, ms = x.sum(axis=0), mu.sum(axis=0)
+        if not (_finite(xs) and _finite(ms)):
+            if sums:  # the rounds before k ran first, so their failure is named first
+                evaluate(k - 1)
+            _raise_nonfinite(k, x, mu)
+        sums.append((xs, ms))
         if tb.due(k):
-            xs, mus = x.reshape(N, -1), mu.reshape(N, -1)
-            tb.record(k, alpha, xs, mus, xs.mean(axis=0), mus.mean(axis=0), lag, lag_sum / k, g_tot)
+            tb.keep(k, alpha, x, mu)
+        if tb.ends_block(k):
+            evaluate(k)
     return tb.build(RunTrace, x, mu)
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import re
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -35,6 +36,8 @@ from dppd.baseline import csp_sg_round
 from dppd.functions import constant
 from dppd.proxops import ProxError, ProxQuery
 from dppd.solver import SwarmState, _start, compile_plan, initial_state
+
+import run_reference
 
 
 # ----------------------------------------------------------------- stepsizes
@@ -532,6 +535,157 @@ def test_nonfinite_iterate_fails_fast_with_round_and_agent(engine, error):
             _per_agent_rounds(p, sched, cfg.K, cfg.U0)
         else:
             (run_csp_sg if engine == "comparator" else run)(p, sched, cfg)
+
+
+def _nan_in_round(k0, K, p):
+    """The evenly mixing schedule of p.N agents whose round k0 carries a
+    NaN weight in agent 2's row, and a config of K rounds."""
+    A = np.full((p.N, p.N), 1.0 / p.N)
+    B = A.copy()
+    B[2, 1] = np.nan
+    return dppd.GraphSchedule.from_cycle([A] * k0 + [B] + [A] * K), DppdConfig(K=K, U0=1.0)
+
+
+@pytest.mark.parametrize("method", [run, run_csp_sg, run_reference.run])
+def test_nonfinite_iterate_in_the_middle_of_a_block_names_its_round_and_agent(method):
+    # the NaN of round 70 reaches agent 2's iterates in the second block of
+    # rounds, whose bookkeeping is done only when it ends
+    p = dppd.build_paper_example(N=4, b=0.2, lo=0.25, hi=1.0)
+    sched, cfg = _nan_in_round(70, 100, p)
+    with pytest.raises(FloatingPointError, match="^non-finite iterate at agent 2 in round 70$"):
+        method(p, sched, cfg)
+
+
+def _overflowing_lagrangian(K0):
+    """A problem whose iterates stay finite, while its Lagrangian at the
+    averages overflows first after round K0, and the stepsizes.
+
+    Every g_i is the constant c, so every dual after round k is c times the
+    sum S_k of the stepsizes, and the dual term of the Lagrangian is
+    N * c * c * S_k.  c puts the float maximum halfway between rounds K0-1
+    and K0."""
+    N, ss = 4, StepsizeSchedule()
+    S = np.cumsum([ss.alpha(k) for k in range(K0 + 1)])
+    c = float(np.sqrt(np.finfo(float).max / (N * (S[-2] + S[-1]) / 2)))
+    p = Problem(
+        f=tuple(Quadratic(np.eye(1), -np.full(1, 0.5)) for _ in range(N)),
+        g=tuple(VectorConstraint((Affine(np.zeros(1), c),)) for _ in range(N)),
+        X0=Box(np.zeros(1), np.ones(1)),
+    )
+    return p, ss
+
+
+@pytest.mark.parametrize("nan_round", [None, 80])
+@pytest.mark.parametrize("method", [run, run_reference.run])
+def test_finite_iterates_whose_lagrangian_overflows_name_the_first_such_round(method, nan_round):
+    # the Lagrangian overflows from round 70 on, in the second block; a NaN
+    # that reaches an iterate later in the same block is named after it, as
+    # the rounds ran in that order.  The running sum of the Lagrangians just
+    # below the float maximum overflows before, with a numpy warning.
+    p, ss = _overflowing_lagrangian(70)
+    A = np.full((p.N, p.N), 1.0 / p.N)
+    sched = dppd.GraphSchedule.from_cycle([A])
+    if nan_round is not None:
+        sched = _nan_in_round(nan_round, 100, p)[0]
+    cfg = DppdConfig(K=100, U0=1e300, stepsize=ss)
+    with np.errstate(over="ignore"), pytest.raises(
+        FloatingPointError, match="^non-finite evaluation of finite iterates in round 70$"
+    ):
+        method(p, sched, cfg)
+
+
+@pytest.mark.parametrize("engine", ["run", "comparator", "round"])
+def test_huge_finite_duals_land_on_the_ball(engine):
+    # two constraint components of 1e200 put every dual near (1e200, 1e200),
+    # whose squares overflow; the projection onto the unit ball is (1, 1)/sqrt(2)
+    N = 3
+    p = Problem(
+        f=tuple(Quadratic(np.eye(1), np.zeros(1)) for _ in range(N)),
+        g=tuple(VectorConstraint((Affine(np.zeros(1), 1e200),) * 2) for _ in range(N)),
+        X0=Box(-np.ones(1), np.ones(1)),
+    )
+    s = make_schedule(N=N, Q=1, a=0.3, seed=0, family="ring")
+    cfg = DppdConfig(K=3, U0=1.0)
+    if engine == "round":
+        mu = dppd_round(p, s.matrix(0), initial_state(p, cfg.U0), 1.0, cfg.U0).mu
+    else:
+        mu = (run if engine == "run" else run_csp_sg)(p, s, cfg).final_state.mu
+    assert mu == pytest.approx(np.full((N, 2), np.sqrt(0.5)), rel=1e-15)
+    # a huge dual inside a huge ball stays where it is
+    v = np.array([1e200, 3e200])
+    assert np.array_equal(NonnegBall(1e300, dim_=2).project(v), v)
+
+
+def test_run_holds_the_iterates_of_one_block_of_rows():
+    # at N = 2000 and a row per round, the iterates of all 2000 rows would
+    # be 2 x 2000 x 2000 floats, 64 MB; one block's 64 rows and their
+    # stacks take about 4 MB
+    N = 2000
+    p = dppd.build_paper_example(N=N, b=N / 20)
+    sched = make_schedule(N=N, Q=2, a=0.1, seed=0, family="chorded")
+    cfg = DppdConfig(K=2000, U0=10.0, stride=1)
+    tracemalloc.start()
+    try:
+        trace = run(p, sched, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.k) == cfg.K - 1
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _same_bits(a, b, name):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+
+@st.composite
+def _traced_problems(draw):
+    """Separable problems with n and m in {1, 2}: quadratic, log and mixed
+    compositions when n = 1, quadratic ones when n = 2, on a box away from
+    x = -1.  numpy sums 8 or more agents pairwise, and splits more than 128,
+    so the agent counts reach both."""
+    n = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2]))
+    mode = draw(st.sampled_from(["quadratic", "log", "mixed"] if n == 1 else ["quadratic"]))
+    terms = _composite(mode != "log", mode != "quadratic", n)
+    N = draw(st.sampled_from([1, 2, 3, 5, 9, 17, 150]))
+    vec = st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n).map(np.array)
+    lo = draw(vec)
+    hi = lo + draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n).map(np.array))
+    f = tuple(draw(terms) for _ in range(N))
+    g = tuple(VectorConstraint(tuple(draw(terms) for _ in range(m))) for _ in range(N))
+    return Problem(f=f, g=g, X0=Box(lo, hi))
+
+
+@pytest.mark.parametrize(
+    "method, reference", [(run, run_reference.run), (run_csp_sg, run_reference.run_csp_sg)]
+)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_block_loops_keep_every_bit_of_the_round_by_round_loops(method, reference, data):
+    # K on both sides of a block's end, strides that do and do not divide
+    # it, and one beyond K, which leaves only the last round's row
+    p = data.draw(_traced_problems(), label="problem")
+    K = data.draw(st.sampled_from([1, 2, 63, 64, 65, 130]), label="K")
+    stride = data.draw(st.sampled_from([1, 7, 10, K + 3]), label="stride")
+    cfg = DppdConfig(
+        K=K,
+        U0=data.draw(st.floats(0.05, 3.0), label="U0"),
+        stepsize=StepsizeSchedule(alpha0=data.draw(st.floats(0.1, 3.0), label="alpha0")),
+        stride=stride,
+        f_star=data.draw(st.none() | st.floats(-2.0, 2.0), label="f_star"),
+    )
+    sched = make_schedule(N=p.N, Q=2, a=0.2, seed=data.draw(st.integers(0, 3), label="seed"), family="ring")
+    got, want = method(p, sched, cfg), reference(p, sched, cfg)
+    assert type(got) is type(want)
+    for name in ("k", "alpha", "xbar", "mubar", "cons_x", "cons_mu", "lagrangian", "eval_err",
+                 "constr_viol", "value"):
+        _same_bits(getattr(got, name), getattr(want, name), name)
+    assert (got.stride, got.f_star, got.final_state.k) == (want.stride, want.f_star, want.final_state.k)
+    _same_bits(got.final_state.x, want.final_state.x, "final x")
+    _same_bits(got.final_state.mu, want.final_state.mu, "final mu")
 
 
 def _refused_by_both_engines(p, why, prox_why):
